@@ -6,7 +6,8 @@ pool, one lease/release pair, and — only when chunking actually happens —
 staging transfers.  For a batch that fits comfortably this must be
 bookkeeping, not work.  This benchmark times a paper-scale ``gbsv_batch``
 workload (batch 1000, n=256, kl=ku=8, fp64) on the governed path versus
-the same call with governance suppressed, checks that the two produce
+the same operation dispatched straight to the execution chain's launch
+layer (no governance above it), checks that the two produce
 bit-identical factors/solutions, and asserts the overhead stays under 5%.
 
 Runnable standalone (``python benchmarks/bench_memory_governance.py
@@ -24,7 +25,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.band.generate import random_band_batch, random_rhs
-from repro.core import gbsv_batch, memory_plan
+from repro.core import gbsv_batch
+from repro.core.chain import ExecOptions
+from repro.core.gbsv import GbsvOp
 from repro.gpusim.memory import reset_memory_pools
 
 from _util import emit, run_once
@@ -45,9 +48,11 @@ def _run(governed, a, b, n, kl, ku, batch):
         piv, info = gbsv_batch(n, kl, ku, NRHS, mats, None, rhs,
                                batch=batch)
     else:
-        with memory_plan._suppress_governance():
-            piv, info = gbsv_batch(n, kl, ku, NRHS, mats, None, rhs,
-                                   batch=batch)
+        # The execution chain's launch layer: the same descriptor the
+        # driver builds, dispatched with no layer above it.
+        op = GbsvOp.from_args(n, kl, ku, NRHS, mats, None, rhs, None, batch)
+        op.launch(ExecOptions())
+        piv, info = op.result(None)
     dt = perf_counter() - t0
     assert (np.asarray(info) == 0).all()
     return dt, mats, rhs, np.stack(piv)

@@ -30,22 +30,13 @@ from .pipeline import PipelineResult, last_pipeline_result
 from .resilience import (
     BatchReport,
     ResiliencePolicy,
-    gbsv_batch_resilient,
-    gbtrf_batch_resilient,
-    gbtrs_batch_resilient,
     merge_reports,
 )
 from .opcount import OpCount, gbtrf_gflops, gbtrf_opcount, gbtrf_opcount_batch, gbtrf_opcount_bounds
 from .gbtrs_blocked import BlockedBackwardKernel, BlockedForwardKernel
 from .gbtrs_reference import gbtrs_reference_batch
 from .solve_blocks import gbtrs_unblocked
-from .verify import (
-    VerifyPolicy,
-    as_verify_policy,
-    verified_gbsv_batch,
-    verified_gbtrf_batch,
-    verified_gbtrs_batch,
-)
+from .verify import VerifyPolicy, as_verify_policy
 from .specialize import (
     BandSpecialization,
     clear_specialization_cache,
@@ -70,15 +61,13 @@ __all__ = [
     "gbrfs", "gbrfs_batch",
     "gbsv", "gbsv_batch", "gbsv_refined_batch", "gbsv_vbatch", "gbtf2",
     "gbtrf", "gbtrf_batch", "laqgb", "laqgb_batch", "onenorm_inv_estimate",
-    "gbsv_batch_resilient", "gbtrf_batch_resilient",
-    "gbtrs_batch_resilient", "merge_reports",
+    "merge_reports",
     "gbtrf_reference_batch", "gbtrf_vbatch", "gbtrf_vbatch_fused",
     "VbatchGbtrfKernel", "VbatchProblem", "gbtrs", "gbtrs_batch",
     "gbtrs_reference_batch", "gbtrs_unblocked",
     "select_gbsv_method", "select_gbtrf_method",
     "sgbsv_batch", "sgbtrf_batch", "sgbtrs_batch",
     "specialization_cache_info",
-    "VerifyPolicy", "as_verify_policy", "verified_gbsv_batch",
-    "verified_gbtrf_batch", "verified_gbtrs_batch",
+    "VerifyPolicy", "as_verify_policy",
     "zgbsv_batch", "zgbtrf_batch", "zgbtrs_batch",
 ]

@@ -27,6 +27,7 @@ from ..band.layout import (
     to_lane_major,
 )
 from ..errors import ArgumentError, check_arg
+from ..gpusim.kernel import note_layout_conversion
 from ..gpusim.memory import PointerArray, is_packable_batch
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "stage_stack",
     "soa_stageable",
     "convert_batch_layout",
+    "stage_layout",
 ]
 
 
@@ -59,27 +61,15 @@ def is_uniform_stack(mats) -> bool:
     gather/pack stage (:func:`~repro.gpusim.memory.is_packable_batch`),
     while aliased/overlapping batches keep the per-block path.
     """
-    if len(mats) == 0:
+    ptrs = _lane_pointers(mats)
+    if ptrs is None:
         return False
-    first = mats[0]
-    if not isinstance(first, np.ndarray) or first.base is None:
-        return False
-    base = first.base
-    shape, dtype, strides = first.shape, first.dtype, first.strides
     if len(mats) == 1:
         return True
-    ptr0 = first.__array_interface__["data"][0]
-    extent = shape[0] * strides[0] if strides else 0
-    if extent <= 0:
-        return False
-    for k, mk in enumerate(mats[1:], 1):
-        if (not isinstance(mk, np.ndarray) or mk.base is not base
-                or mk.shape != shape or mk.dtype != dtype
-                or mk.strides != strides):
-            return False
-        if mk.__array_interface__["data"][0] != ptr0 + k * extent:
-            return False
-    return True
+    first = mats[0]
+    extent = first.shape[0] * first.strides[0] if first.strides else 0
+    return extent > 0 and all(p == ptrs[0] + k * extent
+                              for k, p in enumerate(ptrs))
 
 
 def is_interleaved_stack(mats) -> bool:
@@ -99,36 +89,36 @@ def is_interleaved_stack(mats) -> bool:
     layout-native with zero extra conversions.
     """
     nlanes = len(mats)
-    if nlanes < 2:
+    ptrs = _lane_pointers(mats) if nlanes >= 2 else None
+    if ptrs is None:
         return False
-    first = mats[0]
-    if not isinstance(first, np.ndarray) or first.base is None:
+    d = ptrs[1] - ptrs[0]
+    if d <= 0 or any(q - p != d for p, q in zip(ptrs, ptrs[1:])):
         return False
-    base = first.base
-    shape, dtype, strides = first.shape, first.dtype, first.strides
-    ptr0 = first.__array_interface__["data"][0]
-    prev = ptr0
-    d = None
-    for mk in mats[1:]:
-        if (not isinstance(mk, np.ndarray) or mk.base is not base
-                or mk.shape != shape or mk.dtype != dtype
-                or mk.strides != strides):
-            return False
-        ptr = mk.__array_interface__["data"][0]
-        if d is None:
-            d = ptr - prev
-            if d <= 0:
-                return False
-        elif ptr - prev != d:
-            return False
-        prev = ptr
     # Lane disjointness: strides along extents > 1 must share a common
     # divisor g that is a multiple of d and covers all nlanes offsets.
-    live = [abs(s) for s, e in zip(strides, shape) if e > 1]
+    first = mats[0]
+    live = [abs(s) for s, e in zip(first.strides, first.shape) if e > 1]
     if not live:
-        return d >= dtype.itemsize
+        return d >= first.dtype.itemsize
     g = math.gcd(*live)
     return g % d == 0 and g // d >= nlanes
+
+
+def _lane_pointers(mats):
+    """Data pointers of lanes that are views of one base array with equal
+    shape, dtype and strides; ``None`` when they are not."""
+    if len(mats) == 0:
+        return None
+    first = mats[0]
+    if not isinstance(first, np.ndarray) or first.base is None:
+        return None
+    for mk in mats[1:]:
+        if (not isinstance(mk, np.ndarray) or mk.base is not first.base
+                or mk.shape != first.shape or mk.dtype != first.dtype
+                or mk.strides != first.strides):
+            return None
+    return [m.__array_interface__["data"][0] for m in mats]
 
 
 def stack_view(mats) -> np.ndarray:
@@ -252,6 +242,34 @@ def convert_batch_layout(layout: str, operands, *, batch: int,
                 m[...] = work[k]
 
     return converted, writeback, moved
+
+
+def stage_layout(layout: str | None, operands, *, batch: int, outputs=None,
+                 run):
+    """Layout layer: run ``run(*operands)`` in storage ``layout``.
+
+    Stages the operands with :func:`convert_batch_layout` (``layout`` is a
+    canonical name or ``None``; nothing to convert runs ``run`` on the
+    operands as given), notes the round-trip traffic for the first launch
+    that follows, runs, and writes the results back into the caller's
+    storage.  When ``run`` raises, the noted traffic is withdrawn so it
+    cannot land on an unrelated later launch.  Returns what ``run``
+    returns.
+    """
+    conv = (None if layout is None else
+            convert_batch_layout(layout, operands, batch=batch,
+                                 outputs=outputs))
+    if conv is None:
+        return run(*operands)
+    converted, writeback, moved = conv
+    note_layout_conversion(moved)
+    try:
+        out = run(*converted)
+    except BaseException:
+        note_layout_conversion(-moved)
+        raise
+    writeback()
+    return out
 
 
 def as_matrix_list(a_array, batch: int, *, arg_pos: int) -> list[np.ndarray]:

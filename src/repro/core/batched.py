@@ -36,11 +36,16 @@ from collections import defaultdict
 import numpy as np
 
 from ..errors import check_arg
+from ..gpusim.device import H100_PCIE
 from ..gpusim.stream import Stream
 from ..types import Trans
-from .gbtrf import gbtrf_batch
+from .chain import ExecOptions, run
+from .gbsv import _METHODS as _GBSV_METHODS
+from .gbsv import GbsvOp, gbsv_batch
+from .gbtrf import _METHODS as _GBTRF_METHODS
+from .gbtrf import GbtrfOp, gbtrf_batch
 from .gbtrs import gbtrs_batch
-from .gbsv import gbsv_batch
+from .resilience import merge_reports
 
 __all__ = [
     "sgbtrf_batch", "dgbtrf_batch", "cgbtrf_batch", "zgbtrf_batch",
@@ -56,77 +61,67 @@ def _require_stream(stream) -> Stream:
     return stream
 
 
-def _check_dtype(arrays, dtype, pos):
-    for k, a in enumerate(arrays):
+def _paper_operands(stream, A_array, dtype, kl, ku, lda, pos) -> tuple:
+    """Check the mandatory stream, the matrices' dtype (position ``pos``)
+    and ``lda`` (``pos + 1``); return ``(stream, matrices)``."""
+    stream = _require_stream(stream)
+    mats = list(A_array)
+    for k, a in enumerate(mats):
         check_arg(np.asarray(a).dtype == np.dtype(dtype), pos,
                   f"matrix {k} has dtype {np.asarray(a).dtype}, "
                   f"expected {np.dtype(dtype).name}")
+    check_arg(lda >= 2 * kl + ku + 1, pos + 1,
+              f"lda={lda} < 2*kl+ku+1={2 * kl + ku + 1}")
+    return stream, mats
 
 
-def _check_ld(arrays, ld, pos, name):
-    check_arg(ld >= 1, pos, f"{name} must be >= 1, got {ld}")
-    for k, a in enumerate(arrays):
-        check_arg(np.asarray(a).shape[0] >= min(ld, np.asarray(a).shape[0]),
-                  pos, f"matrix {k} rows < {name}={ld}")
+def _named(fn, name: str, doc: str):
+    fn.__name__ = fn.__qualname__ = name
+    fn.__doc__ = doc
+    return fn
 
 
 def _make_gbtrf(prefix: str, dtype):
     def fn(m, n, kl, ku, A_array, lda, pv_array, info, batch, stream):
-        stream = _require_stream(stream)
-        mats = list(A_array)
-        _check_dtype(mats, dtype, 5)
-        check_arg(lda >= 2 * kl + ku + 1, 6,
-                  f"lda={lda} < 2*kl+ku+1={2 * kl + ku + 1}")
+        stream, mats = _paper_operands(stream, A_array, dtype, kl, ku, lda,
+                                       5)
         return gbtrf_batch(m, n, kl, ku, mats, pv_array, info, batch=batch,
                            device=stream.device, stream=stream)
 
-    fn.__name__ = f"{prefix}gbtrf_batch"
-    fn.__qualname__ = fn.__name__
-    fn.__doc__ = (
-        f"Batch band LU factorization in {np.dtype(dtype).name} "
-        "(paper Section 4 signature). Returns (pivots, info).")
-    return fn
+    return _named(fn, f"{prefix}gbtrf_batch",
+                  f"Batch band LU factorization in {np.dtype(dtype).name} "
+                  "(paper Section 4 signature). Returns (pivots, info).")
 
 
 def _make_gbtrs(prefix: str, dtype):
     def fn(transA, n, kl, ku, nrhs, A_array, lda, pv_array, B_array, ldb,
            info, batch, stream):
-        stream = _require_stream(stream)
-        mats = list(A_array)
-        _check_dtype(mats, dtype, 6)
-        check_arg(lda >= 2 * kl + ku + 1, 7,
-                  f"lda={lda} < 2*kl+ku+1={2 * kl + ku + 1}")
+        stream, mats = _paper_operands(stream, A_array, dtype, kl, ku, lda,
+                                       6)
         check_arg(ldb >= max(1, n), 10, f"ldb={ldb} < n={n}")
         return gbtrs_batch(Trans.from_any(transA), n, kl, ku, nrhs, mats,
                            pv_array, B_array, info, batch=batch,
                            device=stream.device, stream=stream)
 
-    fn.__name__ = f"{prefix}gbtrs_batch"
-    fn.__qualname__ = fn.__name__
-    fn.__doc__ = (
-        f"Batch band forward/backward solve in {np.dtype(dtype).name} "
-        "(paper Section 4 signature). Returns info.")
-    return fn
+    return _named(fn, f"{prefix}gbtrs_batch",
+                  f"Batch band forward/backward solve in "
+                  f"{np.dtype(dtype).name} (paper Section 4 signature). "
+                  "Returns info.")
 
 
 def _make_gbsv(prefix: str, dtype):
     def fn(n, kl, ku, nrhs, A_array, lda, pv_array, B_array, ldb, info,
            batch, stream):
-        stream = _require_stream(stream)
-        mats = list(A_array)
-        _check_dtype(mats, dtype, 5)
-        check_arg(lda >= 2 * kl + ku + 1, 6,
-                  f"lda={lda} < 2*kl+ku+1={2 * kl + ku + 1}")
+        stream, mats = _paper_operands(stream, A_array, dtype, kl, ku, lda,
+                                       5)
         check_arg(ldb >= max(1, n), 9, f"ldb={ldb} < n={n}")
         return gbsv_batch(n, kl, ku, nrhs, mats, pv_array, B_array, info,
                           batch=batch, device=stream.device, stream=stream)
 
-    fn.__name__ = f"{prefix}gbsv_batch"
-    fn.__qualname__ = fn.__name__
-    fn.__doc__ = (
-        f"Batch band factorize-and-solve in {np.dtype(dtype).name} "
-        "(paper's top-level API). Returns (pivots, info).")
-    return fn
+    return _named(fn, f"{prefix}gbsv_batch",
+                  f"Batch band factorize-and-solve in "
+                  f"{np.dtype(dtype).name} (paper's top-level API). "
+                  "Returns (pivots, info).")
 
 
 sgbtrf_batch = _make_gbtrf("s", np.float32)
@@ -146,6 +141,52 @@ zgbsv_batch = _make_gbsv("z", np.complex128)
 
 
 # --- Non-uniform batches (paper Section 9, future work) --------------------
+
+def _vbatch_options(methods, method_pos, exec_pos, *, device, stream,
+                    execute, resilient, policy, **knobs) -> ExecOptions:
+    """One :class:`~repro.core.chain.ExecOptions` for every uniform group.
+
+    The device defaults to the stream's; a resilient call always executes
+    functionally, and ``policy`` only rides along with ``resilient``.
+    """
+    device = device or (stream.device if stream is not None else H100_PCIE)
+    return ExecOptions.build(
+        methods, method_pos, exec_pos, device=device, stream=stream,
+        execute=True if resilient else execute, resilient=bool(resilient),
+        policy=policy if resilient else None, **knobs)
+
+
+def _check_lengths(batch: int, **seqs) -> None:
+    """Every per-problem sequence (argument positions 1, 2, ...) has
+    ``batch`` entries."""
+    for pos, (name, seq) in enumerate(seqs.items(), 1):
+        check_arg(len(seq) == batch, pos,
+                  f"{name} has {len(seq)} entries, expected {batch}")
+
+
+def _run_groups(name, batch, groups, build, pivots, info, opts):
+    """Run every uniform group's descriptor through the execution chain.
+
+    ``build(key, idxs, sub_info)`` makes the group's descriptor.  Returns
+    ``(pivots, info)``, plus the per-group reports merged back to global
+    lane indices when the call is resilient or verified.
+    """
+    if info is None:
+        info = np.zeros(batch, dtype=np.int64)
+    parts = []
+    for key, idxs in groups.items():
+        sub_info = np.zeros(len(idxs), dtype=np.int64)
+        report = run(build(key, idxs, sub_info), opts)
+        if report is not None:
+            parts.append((idxs, report))
+        for j, i in enumerate(idxs):
+            info[i] = sub_info[j]
+    if not (opts.resilient or opts.verify is not None):
+        return pivots, info
+    report = merge_reports(name, batch, parts)
+    report.info = info
+    return pivots, info, report
+
 
 def _group_indices(keys) -> dict:
     groups: dict = defaultdict(list)
@@ -209,55 +250,34 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
     per-group verification fields merged back to global lane indices.
     Requires square problems (``ms[k] == ns[k]``).
     """
-    from ..gpusim.device import H100_PCIE
-    device = device or (stream.device if stream is not None else H100_PCIE)
+    opts = _vbatch_options(
+        _GBTRF_METHODS, 14, 15, device=device, stream=stream,
+        execute=execute, vectorize=vectorize, resilient=resilient,
+        policy=policy, max_resident_bytes=max_resident_bytes,
+        chunk_hint=chunk_hint, streams=streams, devices=devices,
+        overlap=overlap, layout=layout, verify=verify)
     batch = len(a_array)
-    for name, seq, pos in (("ms", ms, 1), ("ns", ns, 2), ("kls", kls, 3),
-                           ("kus", kus, 4)):
-        check_arg(len(seq) == batch, pos,
-                  f"{name} has {len(seq)} entries, expected {batch}")
+    _check_lengths(batch, ms=ms, ns=ns, kls=kls, kus=kus)
     mats = [np.asarray(a) for a in a_array]
-    pivots: list = [None] * batch
     if pv_array is not None:
         pivots = list(pv_array)
     else:
         pivots = [np.zeros(min(ms[k], ns[k]), dtype=np.int64)
                   for k in range(batch)]
-    if info is None:
-        info = np.zeros(batch, dtype=np.int64)
     # Storage shape joins the key so every group stacks uniformly on the
     # batch-interleaved path (same (m, n, kl, ku) may arrive with
     # different ldab padding).
     groups = _group_indices(
         (int(ms[k]), int(ns[k]), int(kls[k]), int(kus[k]), mats[k].shape)
         for k in range(batch))
-    verified = verify is not None and verify is not False
-    parts = []
-    for (m, n, kl, ku, _shape), idxs in groups.items():
-        sub_info = np.zeros(len(idxs), dtype=np.int64)
-        kwargs = dict(batch=len(idxs), device=device, stream=stream,
-                      vectorize=vectorize,
-                      max_resident_bytes=max_resident_bytes,
-                      chunk_hint=chunk_hint, streams=streams,
-                      devices=devices, overlap=overlap, layout=layout)
-        if resilient:
-            kwargs.update(resilient=True, policy=policy)
-        else:
-            kwargs.update(execute=execute)
-        if verified:
-            kwargs.update(verify=verify)
-        out = gbtrf_batch(m, n, kl, ku, [mats[i] for i in idxs],
-                          [pivots[i] for i in idxs], sub_info, **kwargs)
-        if resilient or verified:
-            parts.append((idxs, out[-1]))
-        for j, i in enumerate(idxs):
-            info[i] = sub_info[j]
-    if resilient or verified:
-        from .resilience import merge_reports
-        report = merge_reports("gbtrf", batch, parts)
-        report.info = info
-        return pivots, info, report
-    return pivots, info
+
+    def build(key, idxs, sub_info):
+        m, n, kl, ku, _shape = key
+        return GbtrfOp.from_args(m, n, kl, ku, [mats[i] for i in idxs],
+                                 [pivots[i] for i in idxs], sub_info,
+                                 len(idxs), opts)
+
+    return _run_groups("gbtrf", batch, groups, build, pivots, info, opts)
 
 
 def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
@@ -290,13 +310,14 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
     (:mod:`repro.core.verify`) and returns ``(pivots, info, report)``
     with the merged verification fields.
     """
-    from ..gpusim.device import H100_PCIE
-    device = device or (stream.device if stream is not None else H100_PCIE)
+    opts = _vbatch_options(
+        _GBSV_METHODS, 12, 13, device=device, stream=stream,
+        execute=execute, vectorize=vectorize, resilient=resilient,
+        policy=policy, max_resident_bytes=max_resident_bytes,
+        chunk_hint=chunk_hint, streams=streams, devices=devices,
+        overlap=overlap, layout=layout, verify=verify)
     batch = len(a_array)
-    for name, seq, pos in (("ns", ns, 1), ("kls", kls, 2), ("kus", kus, 3),
-                           ("nrhss", nrhss, 4)):
-        check_arg(len(seq) == batch, pos,
-                  f"{name} has {len(seq)} entries, expected {batch}")
+    _check_lengths(batch, ns=ns, kls=kls, kus=kus, nrhss=nrhss)
     mats = [np.asarray(a) for a in a_array]
     rhs = [np.asarray(b) for b in b_array]
     rhs = [b[:, None] if b.ndim == 1 else b for b in rhs]
@@ -304,36 +325,14 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
         pivots = list(pv_array)
     else:
         pivots = [np.zeros(int(ns[k]), dtype=np.int64) for k in range(batch)]
-    if info is None:
-        info = np.zeros(batch, dtype=np.int64)
     groups = _group_indices(
         (int(ns[k]), int(kls[k]), int(kus[k]), int(nrhss[k]), mats[k].shape)
         for k in range(batch))
-    verified = verify is not None and verify is not False
-    parts = []
-    for (n, kl, ku, nrhs, _shape), idxs in groups.items():
-        sub_info = np.zeros(len(idxs), dtype=np.int64)
-        kwargs = dict(batch=len(idxs), device=device, stream=stream,
-                      vectorize=vectorize,
-                      max_resident_bytes=max_resident_bytes,
-                      chunk_hint=chunk_hint, streams=streams,
-                      devices=devices, overlap=overlap, layout=layout)
-        if resilient:
-            kwargs.update(resilient=True, policy=policy)
-        else:
-            kwargs.update(execute=execute)
-        if verified:
-            kwargs.update(verify=verify)
-        out = gbsv_batch(n, kl, ku, nrhs, [mats[i] for i in idxs],
-                         [pivots[i] for i in idxs], [rhs[i] for i in idxs],
-                         sub_info, **kwargs)
-        if resilient or verified:
-            parts.append((idxs, out[-1]))
-        for j, i in enumerate(idxs):
-            info[i] = sub_info[j]
-    if resilient or verified:
-        from .resilience import merge_reports
-        report = merge_reports("gbsv", batch, parts)
-        report.info = info
-        return pivots, info, report
-    return pivots, info
+
+    def build(key, idxs, sub_info):
+        n, kl, ku, nrhs, _shape = key
+        return GbsvOp.from_args(n, kl, ku, nrhs, [mats[i] for i in idxs],
+                                [pivots[i] for i in idxs],
+                                [rhs[i] for i in idxs], sub_info, len(idxs))
+
+    return _run_groups("gbsv", batch, groups, build, pivots, info, opts)

@@ -14,13 +14,12 @@ import numpy as np
 
 from ..band.layout import normalize_layout
 from ..errors import check_arg
-from ..gpusim.kernel import note_layout_conversion
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
     check_gb_args,
-    convert_batch_layout,
     ensure_pivots,
+    stage_layout,
 )
 from .solve_blocks import gbtrs_unblocked
 
@@ -122,21 +121,18 @@ def gbcon_batch(norm: str, n: int, kl: int, ku: int, a_array, pv_array,
     """
     if batch is None:
         batch = len(a_array)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(normalize_layout(layout), (a_array,),
-                                    batch=batch, outputs=(False,))
-        if conv is not None:
-            (a_conv,), _writeback, moved = conv
-            note_layout_conversion(moved)
-            return gbcon_batch(norm, n, kl, ku, a_conv, pv_array, anorms,
-                               batch=batch)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(n, n, kl, ku, mats, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=6)
-    check_arg(len(anorms) == batch, 7,
-              f"anorms has {len(anorms)} entries, expected {batch}")
-    out = np.zeros(batch)
-    for k in range(batch):
-        out[k] = gbcon(norm, n, kl, ku, mats[k], pivots[k],
-                       float(anorms[k]))
-    return out
+
+    def run(a_array):
+        mats = as_matrix_list(a_array, batch, arg_pos=5)
+        check_gb_args(n, n, kl, ku, mats, batch=batch)
+        pivots = ensure_pivots(pv_array, batch, n, arg_pos=6)
+        check_arg(len(anorms) == batch, 7,
+                  f"anorms has {len(anorms)} entries, expected {batch}")
+        out = np.zeros(batch)
+        for k in range(batch):
+            out[k] = gbcon(norm, n, kl, ku, mats[k], pivots[k],
+                           float(anorms[k]))
+        return out
+
+    return stage_layout(normalize_layout(layout), (a_array,), batch=batch,
+                        outputs=(False,), run=run)

@@ -20,18 +20,15 @@ from ..band.layout import normalize_layout
 from ..band.ops import gbmv
 from ..errors import SingularMatrixError, check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import note_layout_conversion
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
     as_rhs_list,
     check_gb_args,
-    convert_batch_layout,
     ensure_info,
     ensure_pivots,
+    stage_layout,
 )
-from .gbtrf import gbtrf_batch
-from .gbtrs import gbtrs_batch
 from .solve_blocks import gbtrs_unblocked
 
 __all__ = ["RefinementResult", "gbrfs", "gbrfs_batch",
@@ -125,26 +122,21 @@ def gbrfs_batch(n: int, kl: int, ku: int, nrhs: int, a_orig_array,
     """
     if batch is None:
         batch = len(a_orig_array)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(
-            normalize_layout(layout),
-            (a_orig_array, a_fact_array, b_array, x_array), batch=batch,
-            outputs=(False, False, False, True))
-        if conv is not None:
-            (orig_c, fact_c, b_c, x_c), writeback, moved = conv
-            note_layout_conversion(moved)
-            out = gbrfs_batch(n, kl, ku, nrhs, orig_c, fact_c, pv_array,
-                              b_c, x_c, batch=batch, max_iter=max_iter)
-            writeback()
-            return out
-    orig = as_matrix_list(a_orig_array, batch, arg_pos=5)
-    fact = as_matrix_list(a_fact_array, batch, arg_pos=6)
-    check_gb_args(n, n, kl, ku, orig, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=7)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=8)
-    sols = as_rhs_list(x_array, batch, n, nrhs, arg_pos=9)
-    return [gbrfs(n, kl, ku, orig[k], fact[k], pivots[k], rhs[k], sols[k],
-                  max_iter=max_iter) for k in range(batch)]
+
+    def run(a_orig_array, a_fact_array, b_array, x_array):
+        orig = as_matrix_list(a_orig_array, batch, arg_pos=5)
+        fact = as_matrix_list(a_fact_array, batch, arg_pos=6)
+        check_gb_args(n, n, kl, ku, orig, batch=batch)
+        pivots = ensure_pivots(pv_array, batch, n, arg_pos=7)
+        rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=8)
+        sols = as_rhs_list(x_array, batch, n, nrhs, arg_pos=9)
+        return [gbrfs(n, kl, ku, orig[k], fact[k], pivots[k], rhs[k],
+                      sols[k], max_iter=max_iter) for k in range(batch)]
+
+    return stage_layout(normalize_layout(layout),
+                        (a_orig_array, a_fact_array, b_array, x_array),
+                        batch=batch, outputs=(False, False, False, True),
+                        run=run)
 
 
 def gbsv_refined_batch(n: int, kl: int, ku: int, nrhs: int, a_array,
@@ -167,6 +159,9 @@ def gbsv_refined_batch(n: int, kl: int, ku: int, nrhs: int, a_array,
     drivers this routine promises a solution, so it cannot silently return
     one problem unsolved.
     """
+    # Imported here: the drivers' execution chain refines through gbrfs.
+    from .gbtrf import gbtrf_batch
+    from .gbtrs import gbtrs_batch
     if batch is None:
         batch = len(a_array)
     mats = as_matrix_list(a_array, batch, arg_pos=5)

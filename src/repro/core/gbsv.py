@@ -15,25 +15,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import normalize_layout
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import launch, note_layout_conversion
 from ..tuning.defaults import FUSED_GBSV_CUTOFF
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
     as_rhs_list,
     check_gb_args,
-    convert_batch_layout,
     ensure_info,
     ensure_pivots,
 )
+from .chain import BatchOp, ExecOptions, run
 from .gbsv_fused import FusedGbsvKernel
 from .gbtf2 import gbtf2
-from .gbtrf import gbtrf_batch
-from .gbtrs import gbtrs_batch
+from .gbtrf import GbtrfOp
+from .gbtrs import _METHODS as _GBTRS_METHODS
+from .gbtrs import GbtrsOp
 from .solve_blocks import gbtrs_unblocked
+from .verify import ResidualGate
 
 __all__ = ["gbsv", "gbsv_batch", "select_gbsv_method"]
 
@@ -121,95 +121,124 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
     fields stamped on the :class:`~repro.core.resilience.BatchReport`.
     Lanes that pass are bit-identical to an unverified call.
     """
-    check_arg(method in _METHODS, 12,
-              f"method must be one of {_METHODS}, got {method!r}")
-    if verify is not None and verify is not False:
-        from .verify import verified_gbsv_batch
-        return verified_gbsv_batch(
-            n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, verify=verify, device=device, stream=stream,
-            method=method, execute=execute, max_blocks=max_blocks,
-            vectorize=vectorize, resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap,
-            layout=layout)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(
-            normalize_layout(layout), (a_array, b_array),
-            batch=len(a_array) if batch is None else batch)
-        if conv is not None:
-            (a_conv, b_conv), writeback, moved = conv
-            note_layout_conversion(moved)
-            res = gbsv_batch(
-                n, kl, ku, nrhs, a_conv, pv_array, b_conv, info,
-                batch=batch, device=device, stream=stream, method=method,
-                execute=execute, max_blocks=max_blocks,
-                vectorize=vectorize, resilient=resilient, policy=policy,
-                max_resident_bytes=max_resident_bytes,
-                chunk_hint=chunk_hint, streams=streams, devices=devices,
-                overlap=overlap)
-            writeback()
-            return res
-    from . import memory_plan
-    if memory_plan.governance_active(execute=execute,
-                                     max_blocks=max_blocks, stream=stream):
-        return memory_plan.gbsv_batch_governed(
-            n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, device=device, stream=stream, method=method,
-            vectorize=vectorize, resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap)
-    if resilient:
-        check_arg(execute and max_blocks is None, 13,
-                  "resilient=True requires full functional execution "
-                  "(execute=True, max_blocks=None)")
-        from .resilience import gbsv_batch_resilient
-        return gbsv_batch_resilient(
-            n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, device=device, stream=stream, method=method,
-            vectorize=vectorize, policy=policy)
-    check_arg(nrhs >= 0, 4, f"nrhs must be non-negative, got {nrhs}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(n, n, kl, ku, mats, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
-    info = ensure_info(info, batch, arg_pos=8)
-    if batch == 0 or n == 0:
-        return pivots, info
+    opts = ExecOptions.build(
+        _METHODS, 12, 13, device=device, stream=stream, method=method,
+        execute=execute, max_blocks=max_blocks, vectorize=vectorize,
+        resilient=resilient, policy=policy,
+        max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
+        streams=streams, devices=devices, overlap=overlap, layout=layout,
+        verify=verify)
+    op = GbsvOp.from_args(n, kl, ku, nrhs, a_array, pv_array, b_array, info,
+                          batch)
+    return op.result(run(op, opts))
 
-    if method == "auto":
-        method = select_gbsv_method(device, n, kl, ku, nrhs,
-                                    mats[0].dtype.itemsize)
 
-    if method == "fused" and nrhs >= 1:
-        kernel = FusedGbsvKernel(n, kl, ku, nrhs, mats, pivots, rhs, info)
-        launch(device, kernel, stream=stream, execute=execute,
-               max_blocks=max_blocks, vectorize=vectorize)
-        return pivots, info
+class GbsvOp(BatchOp):
+    """Descriptor of one batched factorize-and-solve.
 
-    gbtrf_batch(n, n, kl, ku, mats, pivots, info, batch=batch,
-                device=device, stream=stream, execute=execute,
-                max_blocks=max_blocks, vectorize=vectorize)
-    if nrhs == 0:
-        return pivots, info
-    ok = [k for k in range(batch) if info[k] == 0]
-    if len(ok) == batch:
-        gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, mats, pivots, rhs,
-                    batch=batch, device=device, stream=stream,
-                    execute=execute, max_blocks=max_blocks,
-                    vectorize=vectorize)
-    elif ok:
-        # Solve only the non-singular problems (LAPACK leaves B of a
-        # singular problem unchanged).  The scattered sub-batch is no
-        # longer a contiguous stack; the gather/pack stage stages it for
-        # the batch-interleaved path.
-        sub_mats = [mats[k] for k in ok]
-        sub_piv = [pivots[k] for k in ok]
-        sub_rhs = [rhs[k] for k in ok]
-        gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, sub_mats, sub_piv,
-                    sub_rhs, batch=len(ok), device=device, stream=stream,
-                    execute=execute, max_blocks=max_blocks,
-                    vectorize=vectorize)
-    return pivots, info
+    Built from a :class:`~repro.core.gbtrf.GbtrfOp` and a
+    :class:`~repro.core.gbtrs.GbtrsOp` over the same operands (LAPACK's
+    ``GBSV = GBTRF + GBTRS``); the fused single-kernel design is its own.
+    """
+
+    name = "gbsv"
+    gate = ResidualGate
+    stages = ("gbtrf", "gbtrs")
+    layout_outputs = (True, True)
+
+    def __init__(self, n, kl, ku, nrhs, mats, pivots, rhs, info, *,
+                 raw=(None, None)):
+        super().__init__(n, kl, ku, mats, pivots, info, rhs=rhs, nrhs=nrhs,
+                         raw=raw)
+        self.factor_part = GbtrfOp(n, n, kl, ku, mats, pivots, info)
+        self.solve_part = GbtrsOp(Trans.NO_TRANS, n, kl, ku, nrhs, mats,
+                                  pivots, rhs, info)
+
+    @classmethod
+    def from_args(cls, n, kl, ku, nrhs, a_array, pv_array, b_array, info,
+                  batch) -> "GbsvOp":
+        """Validate and normalize the operands once (argument positions of
+        the paper's ``dgbsv_batch``)."""
+        check_arg(nrhs >= 0, 4, f"nrhs must be non-negative, got {nrhs}")
+        if batch is None:
+            batch = len(a_array)
+        mats = as_matrix_list(a_array, batch, arg_pos=5)
+        check_gb_args(n, n, kl, ku, mats, batch=batch)
+        pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
+        rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
+        info = ensure_info(info, batch, arg_pos=8)
+        return cls(n, kl, ku, nrhs, mats, pivots, rhs, info,
+                   raw=(a_array, b_array))
+
+    def _rebuild(self, mats, pivots, rhs, info, tuned=True):
+        return GbsvOp(self.n, self.kl, self.ku, self.nrhs, mats, pivots, rhs,
+                      info)
+
+    @property
+    def empty(self) -> bool:
+        return self.batch == 0 or self.n == 0
+
+    def design(self, device, method: str) -> str:
+        if method == "auto":
+            method = select_gbsv_method(device, self.n, self.kl, self.ku,
+                                        self.nrhs,
+                                        self.mats[0].dtype.itemsize)
+        return "fused" if method == "fused" and self.nrhs >= 1 else "standard"
+
+    def kernels(self, device, method: str) -> list:
+        """The fused kernel, or the factorization's then the solve's."""
+        if self.design(device, method) == "fused":
+            return [FusedGbsvKernel(self.n, self.kl, self.ku, self.nrhs,
+                                    self.mats, self.pivots, self.rhs,
+                                    self.info)]
+        kernels = self.factor_part.kernels(device, "auto")
+        if self.nrhs:
+            kernels += self.solve_part.kernels(device, "auto")
+        return kernels
+
+    def launch(self, opts) -> None:
+        """Bottom of the chain: the fused kernel, or ``gbtrf`` then
+        ``gbtrs`` on the non-singular lanes."""
+        if self.empty:
+            return
+        if self.design(opts.device, opts.method) == "fused":
+            self._launch_all(self.kernels(opts.device, "fused"), opts)
+            return
+        stage = opts.replace(method="auto")
+        self.factor_part.launch(stage)
+        if self.nrhs == 0:
+            return
+        ok = [k for k in range(self.batch) if self.info[k] == 0]
+        if len(ok) == self.batch:
+            self.solve_part.launch(stage)
+        elif ok:
+            # Solve only the non-singular problems (LAPACK leaves B of a
+            # singular problem unchanged).  The scattered sub-batch is no
+            # longer a contiguous stack; the gather/pack stage stages it
+            # for the batch-interleaved path.
+            self.solve_part.pick(ok).launch(stage)
+
+    def host(self) -> None:
+        """Host reference algorithm: ``gbtf2``, then ``gbtrs_unblocked``
+        on the non-singular lanes."""
+        self.factor_part.host()
+        ok = [k for k in range(self.batch) if self.info[k] == 0]
+        if self.nrhs and ok:
+            self.solve_part.pick(ok).host()
+
+    def design_ladder(self, device, method: str):
+        """Resilience stages: ``(stage, part, lanes, rungs, fallback)``.
+
+        The fused kernel has no rung below it; when it fails the call
+        falls back to the standard two-stage path, each stage with its own
+        design ladder.  The solve runs on the lanes the factorization left
+        healthy (singular and corrupted ones go through quarantine)."""
+        if self.design(device, method) == "fused":
+            yield "gbsv", self, None, ("fused",), "standard"
+        yield from self.factor_part.design_ladder(device, "auto")
+        if self.nrhs:
+            ok = [k for k in range(self.batch)
+                  if self.info[k] == 0 and not self.lane_nonfinite(k)]
+            if ok:
+                yield "gbtrs", self.solve_part, ok, _GBTRS_METHODS[1:], None
+

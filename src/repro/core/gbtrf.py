@@ -18,22 +18,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import normalize_layout
-from ..errors import SharedMemoryError, check_arg
+from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import launch, note_layout_conversion
 from ..tuning.defaults import FUSED_CUTOFF, window_params
 from .batch_args import (
     as_matrix_list,
     check_gb_args,
-    convert_batch_layout,
     ensure_info,
     ensure_pivots,
 )
+from .chain import BatchOp, ExecOptions, run
 from .gbtf2 import gbtf2
 from .gbtrf_fused import FusedGbtrfKernel
 from .gbtrf_reference import gbtrf_reference_batch
 from .gbtrf_window import SlidingWindowGbtrfKernel
+from .verify import ProbeGate
 
 __all__ = ["gbtrf", "gbtrf_batch", "select_gbtrf_method"]
 
@@ -178,86 +177,101 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
         List of per-problem pivot vectors and the info array (plus the
         report when ``resilient=True``).
     """
-    check_arg(method in _METHODS, 14,
-              f"method must be one of {_METHODS}, got {method!r}")
-    if verify is not None and verify is not False:
-        from .verify import verified_gbtrf_batch
-        return verified_gbtrf_batch(
-            m, n, kl, ku, a_array, pv_array, info, batch=batch,
-            verify=verify, device=device, stream=stream, method=method,
-            nb=nb, threads=threads, execute=execute,
-            max_blocks=max_blocks, vectorize=vectorize,
-            resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap,
-            layout=layout)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(
-            normalize_layout(layout), (a_array,),
-            batch=len(a_array) if batch is None else batch)
-        if conv is not None:
-            (a_conv,), writeback, moved = conv
-            note_layout_conversion(moved)
-            res = gbtrf_batch(
-                m, n, kl, ku, a_conv, pv_array, info, batch=batch,
-                device=device, stream=stream, method=method, nb=nb,
-                threads=threads, execute=execute, max_blocks=max_blocks,
-                vectorize=vectorize, resilient=resilient, policy=policy,
-                max_resident_bytes=max_resident_bytes,
-                chunk_hint=chunk_hint, streams=streams, devices=devices,
-                overlap=overlap)
-            writeback()
-            return res
-    from . import memory_plan
-    if memory_plan.governance_active(execute=execute,
-                                     max_blocks=max_blocks, stream=stream):
-        return memory_plan.gbtrf_batch_governed(
-            m, n, kl, ku, a_array, pv_array, info, batch=batch,
-            device=device, stream=stream, method=method, nb=nb,
-            threads=threads, vectorize=vectorize, resilient=resilient,
-            policy=policy, max_resident_bytes=max_resident_bytes,
-            chunk_hint=chunk_hint, streams=streams, devices=devices,
-            overlap=overlap)
-    if resilient:
-        check_arg(execute and max_blocks is None, 15,
-                  "resilient=True requires full functional execution "
-                  "(execute=True, max_blocks=None)")
-        from .resilience import gbtrf_batch_resilient
-        return gbtrf_batch_resilient(
-            m, n, kl, ku, a_array, pv_array, info, batch=batch,
-            device=device, stream=stream, method=method, nb=nb,
-            threads=threads, vectorize=vectorize, policy=policy)
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(m, n, kl, ku, mats, batch=batch)
-    mn = min(m, n)
-    pivots = ensure_pivots(pv_array, batch, mn, arg_pos=7, zero=True)
-    info = ensure_info(info, batch, arg_pos=8)
-    if batch == 0 or mn == 0:
-        return pivots, info
+    opts = ExecOptions.build(
+        _METHODS, 14, 15, device=device, stream=stream, method=method,
+        execute=execute, max_blocks=max_blocks, vectorize=vectorize,
+        resilient=resilient, policy=policy,
+        max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
+        streams=streams, devices=devices, overlap=overlap, layout=layout,
+        verify=verify)
+    op = GbtrfOp.from_args(m, n, kl, ku, a_array, pv_array, info, batch,
+                           opts, nb=nb, threads=threads)
+    return op.result(run(op, opts))
 
-    if method == "auto":
-        method = select_gbtrf_method(device, m, n, kl, ku,
-                                     mats[0].dtype.itemsize)
 
-    if method == "fused":
-        kernel = FusedGbtrfKernel(m, n, kl, ku, mats, pivots, info,
-                                  threads=threads)
-        launch(device, kernel, stream=stream, execute=execute,
-               max_blocks=max_blocks, vectorize=vectorize)
-    elif method == "window":
-        nb_d, th_d = window_params(device, kl, ku)
-        kernel = SlidingWindowGbtrfKernel(
-            m, n, kl, ku, mats, pivots, info,
-            nb=nb_d if nb is None else nb,
-            threads=th_d if threads is None else threads)
-        launch(device, kernel, stream=stream, execute=execute,
-               max_blocks=max_blocks, vectorize=vectorize)
-    else:
-        check_arg(not vectorize, 17,
+class GbtrfOp(BatchOp):
+    """Descriptor of one batched band LU factorization."""
+
+    name = "gbtrf"
+    gate = ProbeGate
+    stages = ("gbtrf",)
+    layout_outputs = (True,)
+
+    def __init__(self, m, n, kl, ku, mats, pivots, info, *, nb=None,
+                 threads=None, raw=(None, None)):
+        super().__init__(n, kl, ku, mats, pivots, info, raw=raw)
+        self.m, self.nb, self.threads = m, nb, threads
+
+    @classmethod
+    def from_args(cls, m, n, kl, ku, a_array, pv_array, info, batch, opts,
+                  **tuning) -> "GbtrfOp":
+        """Validate and normalize the operands once (argument positions of
+        the paper's ``dgbtrf_batch``)."""
+        if opts.verify is not None:
+            check_arg(m == n, 1,
+                      f"verify requires square matrices, got m={m}, n={n}")
+        if batch is None:
+            batch = len(a_array)
+        mats = as_matrix_list(a_array, batch, arg_pos=5)
+        check_gb_args(m, n, kl, ku, mats, batch=batch)
+        pivots = ensure_pivots(pv_array, batch, min(m, n), arg_pos=7,
+                               zero=True)
+        info = ensure_info(info, batch, arg_pos=8)
+        return cls(m, n, kl, ku, mats, pivots, info, raw=(a_array, None),
+                   **tuning)
+
+    def _rebuild(self, mats, pivots, rhs, info, tuned=True):
+        tuning = dict(nb=self.nb, threads=self.threads) if tuned else {}
+        return GbtrfOp(self.m, self.n, self.kl, self.ku, mats, pivots, info,
+                       **tuning)
+
+    @property
+    def empty(self) -> bool:
+        return self.batch == 0 or min(self.m, self.n) == 0
+
+    @property
+    def factor_part(self) -> "GbtrfOp":
+        return self
+
+    def design(self, device, method: str) -> str:
+        if method == "auto":
+            return select_gbtrf_method(device, self.m, self.n, self.kl,
+                                       self.ku, self.mats[0].dtype.itemsize)
+        return method
+
+    def kernels(self, device, method: str) -> list:
+        """The design's kernel (none for the fork-join reference design)."""
+        m, n, kl, ku = self.m, self.n, self.kl, self.ku
+        method = self.design(device, method)
+        if method == "fused":
+            return [FusedGbtrfKernel(m, n, kl, ku, self.mats, self.pivots,
+                                     self.info, threads=self.threads)]
+        if method == "window":
+            nb_d, th_d = window_params(device, kl, ku)
+            return [SlidingWindowGbtrfKernel(
+                m, n, kl, ku, self.mats, self.pivots, self.info,
+                nb=nb_d if self.nb is None else self.nb,
+                threads=th_d if self.threads is None else self.threads)]
+        return []
+
+    def reference(self, opts) -> None:
+        """The fork-join reference design's per-column launches."""
+        check_arg(not opts.vectorize, 17,
                   "method='reference' (fork-join per-column kernels) has "
                   "no batch-interleaved path; use vectorize=None or False")
-        gbtrf_reference_batch(m, n, kl, ku, mats, pivots, info, device,
-                              stream, execute=execute, max_blocks=max_blocks)
-    return pivots, info
+        gbtrf_reference_batch(self.m, self.n, self.kl, self.ku, self.mats,
+                              self.pivots, self.info, opts.device,
+                              opts.stream, execute=opts.execute,
+                              max_blocks=opts.max_blocks)
+
+    def host(self) -> None:
+        """Host reference algorithm (``gbtf2``) on every lane."""
+        for j, (a, p) in enumerate(zip(self.mats, self.pivots)):
+            _, inf = gbtf2(self.m, self.n, self.kl, self.ku, a, p)
+            self.info[j] = inf
+
+    def design_ladder(self, device, method: str):
+        """Resilience stages: ``(stage, part, lanes, rungs, fallback)``."""
+        rungs = _METHODS[_METHODS.index(self.design(device, method)):]
+        yield "gbtrf", self, None, rungs, None
+

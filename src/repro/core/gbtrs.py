@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import normalize_layout
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import launch, note_layout_conversion
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
     as_rhs_list,
     check_gb_args,
-    convert_batch_layout,
     ensure_info,
     ensure_pivots,
 )
+from .chain import BatchOp, ExecOptions, run
 from .gbtrs_blocked import (
     BlockedBackwardKernel,
     BlockedForwardKernel,
@@ -33,6 +31,7 @@ from .gbtrs_blocked import (
 )
 from .gbtrs_reference import gbtrs_reference_batch
 from .solve_blocks import gbtrs_unblocked
+from .verify import ReplayGate
 
 __all__ = ["gbtrs", "gbtrs_batch"]
 
@@ -116,98 +115,110 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
     call returns ``(info, report)``.  No-transpose solves only.
     """
     trans = Trans.from_any(trans)
-    check_arg(method in _METHODS, 14,
-              f"method must be one of {_METHODS}, got {method!r}")
-    if verify is not None and verify is not False:
-        from .verify import verified_gbtrs_batch
-        return verified_gbtrs_batch(
-            trans, n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, verify=verify, device=device, stream=stream,
-            method=method, nb=nb, threads=threads, rhs_tile=rhs_tile,
-            execute=execute, max_blocks=max_blocks, vectorize=vectorize,
-            resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap,
-            layout=layout)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(
-            normalize_layout(layout), (a_array, b_array),
-            batch=len(a_array) if batch is None else batch,
-            outputs=(False, True))   # factors are pure inputs here
-        if conv is not None:
-            (a_conv, b_conv), writeback, moved = conv
-            note_layout_conversion(moved)
-            res = gbtrs_batch(
-                trans, n, kl, ku, nrhs, a_conv, pv_array, b_conv, info,
-                batch=batch, device=device, stream=stream, method=method,
-                nb=nb, threads=threads, rhs_tile=rhs_tile,
-                execute=execute, max_blocks=max_blocks,
-                vectorize=vectorize, resilient=resilient, policy=policy,
-                max_resident_bytes=max_resident_bytes,
-                chunk_hint=chunk_hint, streams=streams, devices=devices,
-                overlap=overlap)
-            writeback()
-            return res
-    from . import memory_plan
-    if memory_plan.governance_active(execute=execute,
-                                     max_blocks=max_blocks, stream=stream):
-        return memory_plan.gbtrs_batch_governed(
-            trans, n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, device=device, stream=stream, method=method,
-            nb=nb, threads=threads, rhs_tile=rhs_tile,
-            vectorize=vectorize, resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap)
-    if resilient:
-        check_arg(execute and max_blocks is None, 15,
-                  "resilient=True requires full functional execution "
-                  "(execute=True, max_blocks=None)")
-        from .resilience import gbtrs_batch_resilient
-        return gbtrs_batch_resilient(
-            trans, n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, device=device, stream=stream, method=method,
-            nb=nb, threads=threads, rhs_tile=rhs_tile,
-            vectorize=vectorize, policy=policy)
-    check_arg(nrhs >= 0, 5, f"nrhs must be non-negative, got {nrhs}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=6)
-    check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
-    info = ensure_info(info, batch, arg_pos=11)
-    if batch == 0 or n == 0 or nrhs == 0:
-        return info
+    opts = ExecOptions.build(
+        _METHODS, 14, 15, device=device, stream=stream, method=method,
+        execute=execute, max_blocks=max_blocks, vectorize=vectorize,
+        resilient=resilient, policy=policy,
+        max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
+        streams=streams, devices=devices, overlap=overlap, layout=layout,
+        verify=verify)
+    op = GbtrsOp.from_args(trans, n, kl, ku, nrhs, a_array, pv_array,
+                           b_array, info, batch, opts, nb=nb,
+                           threads=threads, rhs_tile=rhs_tile)
+    return op.result(run(op, opts))
 
-    if method == "auto":
-        method = "blocked"
 
-    if method == "blocked":
-        if trans is Trans.NO_TRANS:
-            kernels = [
-                BlockedForwardKernel(n, kl, ku, nrhs, mats, pivots, rhs,
-                                     nb=nb, threads=threads,
-                                     rhs_tile=rhs_tile),
-                BlockedBackwardKernel(n, kl, ku, nrhs, mats, pivots, rhs,
-                                      nb=nb, threads=threads,
-                                      rhs_tile=rhs_tile),
-            ]
-        else:
-            conj = trans is Trans.CONJ_TRANS
-            kernels = [
-                BlockedTransUKernel(n, kl, ku, nrhs, mats, pivots, rhs,
-                                    nb=nb, threads=threads, conj=conj),
-                BlockedTransLKernel(n, kl, ku, nrhs, mats, pivots, rhs,
-                                    nb=nb, threads=threads, conj=conj),
-            ]
-        for kernel in kernels:
-            launch(device, kernel, stream=stream, execute=execute,
-                   max_blocks=max_blocks, vectorize=vectorize)
-    else:
-        check_arg(not vectorize, 16,
+class GbtrsOp(BatchOp):
+    """Descriptor of one batched band solve from ``gbtrf`` factors."""
+
+    name = "gbtrs"
+    gate = ReplayGate
+    stages = ("gbtrs",)
+    factors_out = False
+    layout_outputs = (False, True)      # factors are pure inputs here
+
+    def __init__(self, trans, n, kl, ku, nrhs, mats, pivots, rhs, info, *,
+                 nb=None, threads=None, rhs_tile=None, raw=(None, None)):
+        super().__init__(n, kl, ku, mats, pivots, info, rhs=rhs, nrhs=nrhs,
+                         raw=raw)
+        self.trans = trans
+        self.nb, self.threads, self.rhs_tile = nb, threads, rhs_tile
+
+    @classmethod
+    def from_args(cls, trans, n, kl, ku, nrhs, a_array, pv_array, b_array,
+                  info, batch, opts, **tuning) -> "GbtrsOp":
+        """Validate and normalize the operands once (argument positions of
+        the paper's ``dgbtrs_batch``)."""
+        if opts.verify is not None:
+            check_arg(trans is Trans.NO_TRANS, 1,
+                      "verify supports trans='N' solves (the reconstruction "
+                      "replays forward elimination); use verify=None for "
+                      "transposed solves")
+        check_arg(nrhs >= 0, 5, f"nrhs must be non-negative, got {nrhs}")
+        if batch is None:
+            batch = len(a_array)
+        mats = as_matrix_list(a_array, batch, arg_pos=6)
+        check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
+        pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
+        rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
+        info = ensure_info(info, batch, arg_pos=11)
+        return cls(trans, n, kl, ku, nrhs, mats, pivots, rhs, info,
+                   raw=(a_array, b_array), **tuning)
+
+    def _rebuild(self, mats, pivots, rhs, info, tuned=True):
+        tuning = (dict(nb=self.nb, threads=self.threads,
+                       rhs_tile=self.rhs_tile) if tuned else {})
+        return GbtrsOp(self.trans, self.n, self.kl, self.ku, self.nrhs,
+                       mats, pivots, rhs, info, **tuning)
+
+    @property
+    def empty(self) -> bool:
+        return self.batch == 0 or self.n == 0 or self.nrhs == 0
+
+    @property
+    def solve_part(self) -> "GbtrsOp":
+        return self
+
+    def kernels(self, device, method: str) -> list:
+        """The blocked design's two stage kernels (none for reference)."""
+        if self.design(device, method) == "reference":
+            return []
+        args = (self.n, self.kl, self.ku, self.nrhs, self.mats, self.pivots,
+                self.rhs)
+        if self.trans is Trans.NO_TRANS:
+            tuning = dict(nb=self.nb, threads=self.threads,
+                          rhs_tile=self.rhs_tile)
+            return [BlockedForwardKernel(*args, **tuning),
+                    BlockedBackwardKernel(*args, **tuning)]
+        tuning = dict(nb=self.nb, threads=self.threads,
+                      conj=self.trans is Trans.CONJ_TRANS)
+        return [BlockedTransUKernel(*args, **tuning),
+                BlockedTransLKernel(*args, **tuning)]
+
+    def design(self, device, method: str) -> str:
+        return "blocked" if method == "auto" else method
+
+    def reference(self, opts) -> None:
+        """The reference design's per-column launches."""
+        check_arg(not opts.vectorize, 16,
                   "method='reference' (per-column kernels) has no "
                   "batch-interleaved path; use vectorize=None or False")
-        gbtrs_reference_batch(trans, n, kl, ku, nrhs, mats, pivots, rhs,
-                              device, stream, execute=execute,
-                              max_blocks=max_blocks)
-    return info
+        gbtrs_reference_batch(self.trans, self.n, self.kl, self.ku,
+                              self.nrhs, self.mats, self.pivots, self.rhs,
+                              opts.device, opts.stream,
+                              execute=opts.execute,
+                              max_blocks=opts.max_blocks)
+
+    def host(self) -> None:
+        """Host reference algorithm (``gbtrs_unblocked``) on every lane."""
+        for a, p, b in zip(self.mats, self.pivots, self.rhs):
+            gbtrs_unblocked(self.trans, self.n, self.kl, self.ku, a, p, b)
+
+    def design_ladder(self, device, method: str):
+        """Resilience stages: ``(stage, part, lanes, rungs, fallback)``."""
+        rungs = _METHODS[_METHODS.index(self.design(device, method)):]
+        yield "gbtrs", self, None, rungs, None
+
+
+    def result(self, report):
+        return self.info if report is None else (self.info, report)

@@ -79,6 +79,7 @@ from ..gpusim.multidevice import (
 )
 from ..gpusim.stream import Stream
 from ..gpusim.transfer import TransferRecord, stage_chunk
+from .resilience import escalate_device_faults
 
 __all__ = ["PipelineResult", "pipeline_requested", "execute_pipelined",
            "last_pipeline_result"]
@@ -213,6 +214,21 @@ def last_pipeline_result() -> PipelineResult | None:
     return _LAST
 
 
+def _oom_event(action: str, exc, fields: dict, device=None) -> dict:
+    """One OOM-ladder decision for ``BatchReport.chunk_events``."""
+    event = {"action": action, **fields, "requested": int(exc.requested),
+             "budget": int(exc.capacity), "injected": bool(exc.injected)}
+    if device is not None:
+        event["device"] = device
+    return event
+
+
+def _lane_window(injector, start: int):
+    """The injector's lane window at global lane ``start`` (a no-op scope
+    when no fault plan is armed)."""
+    return nullcontext() if injector is None else injector.lane_window(start)
+
+
 def _resolve_devices(device: DeviceSpec, devices) -> list[DeviceSpec]:
     """Normalize the ``devices=`` knob to a list of uniquely-named specs."""
     if devices is None:
@@ -284,21 +300,6 @@ def _take_lanes(ranges: list, count: int) -> list:
     return taken
 
 
-def _share_counts(total: int, weights: list) -> list:
-    """Split ``total`` lanes by ``weights`` (split_batch's rounding)."""
-    counts = []
-    remaining = total
-    wsum = sum(weights)
-    for i, w in enumerate(weights):
-        if i == len(weights) - 1:
-            c = remaining
-        else:
-            c = min(remaining, round(total * w / wsum))
-        counts.append(c)
-        remaining -= c
-    return counts
-
-
 class _ShardOutcome:
     """Everything one shard worker produced — or left behind."""
 
@@ -356,10 +357,7 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                            "device": dev.name,
                            "start": int(ranges[0][0]),
                            "stop": int(ranges[-1][1])})
-    guard = nullcontext
-    if failover:
-        from .resilience import escalate_device_faults
-        guard = escalate_device_faults
+    guard = escalate_device_faults if failover else nullcontext
     live: deque = deque()       # nbytes of completed chunks' live leases
     pending = deque(ranges)
     attempt = 0
@@ -390,24 +388,18 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                         # second failure falls through to the ladder.
                         while live:
                             pool.free(live.popleft(), label=label)
-                        out.events.append({"action": "drain",
-                                           "requested": int(exc.requested),
-                                           "budget": int(exc.capacity),
-                                           "injected": bool(exc.injected),
-                                           "device": dev.name})
+                        out.events.append(
+                            _oom_event("drain", exc, {}, dev.name))
                         continue
                     if chunk > 1:
                         attempt += 1
                         delay = policy.backoff(attempt)
                         out.backoff += delay
                         new_chunk = max(1, chunk // 2)
-                        out.events.append({"action": "halve",
-                                           "from": int(chunk),
-                                           "to": int(new_chunk),
-                                           "requested": int(exc.requested),
-                                           "budget": int(exc.capacity),
-                                           "injected": bool(exc.injected),
-                                           "device": dev.name})
+                        out.events.append(_oom_event(
+                            "halve", exc,
+                            {"from": int(chunk), "to": int(new_chunk)},
+                            dev.name))
                         chunk = new_chunk
                         continue
                     # Host rung: this range's tail plus every range not
@@ -415,13 +407,10 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                     host_ranges = [(start, rstop)] + list(pending)
                     pending.clear()
                     for h_start, h_stop in host_ranges:
-                        out.events.append({"action": "host",
-                                           "start": int(h_start),
-                                           "stop": int(h_stop),
-                                           "requested": int(exc.requested),
-                                           "budget": int(exc.capacity),
-                                           "injected": bool(exc.injected),
-                                           "device": dev.name})
+                        out.events.append(_oom_event(
+                            "host", exc,
+                            {"start": int(h_start), "stop": int(h_stop)},
+                            dev.name))
                         rep = run_host(h_start, h_stop)
                         if rep is not None:
                             out.parts.append(
@@ -439,14 +428,9 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                                     stream=s_h2d)
                         h2d_bytes += nbytes
                         s_cmp.wait_event(s_h2d.record_event())
-                    with guard():
-                        if injector is not None:
-                            with injector.lane_window(start):
-                                rep = run_chunk(start, stop, device=dev,
-                                                stream=s_cmp)
-                        else:
-                            rep = run_chunk(start, stop, device=dev,
-                                            stream=s_cmp)
+                    with guard(), _lane_window(injector, start):
+                        rep = run_chunk(start, stop, device=dev,
+                                        stream=s_cmp)
                     if staged:
                         s_d2h.wait_event(s_cmp.record_event())
                         stage_chunk(dev, nbytes, direction="d2h",
@@ -520,16 +504,12 @@ def _run_hedge(op, dev, span, nbuf, run_chunk, snapshot, restore,
     restore(start, stop, span["snap"])
     ok = True
     try:
-        from .resilience import escalate_device_faults
         with escalate_device_faults():
             if span["staged"]:
                 stage_chunk(dev, nbytes, direction="h2d", stream=s_h2d)
                 h2d = nbytes
                 s_cmp.wait_event(s_h2d.record_event())
-            if injector is not None:
-                with injector.lane_window(start):
-                    run_chunk(start, stop, device=dev, stream=s_cmp)
-            else:
+            with _lane_window(injector, start):
                 run_chunk(start, stop, device=dev, stream=s_cmp)
             if span["staged"]:
                 s_d2h.wait_event(s_cmp.record_event())
@@ -705,8 +685,9 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
             if fulls and pending:
                 w = [weights[devs.index(d)] for d in fulls]
                 total = sum(stop - start for start, stop in pending)
-                for d, count in zip(fulls, _share_counts(total, w)):
-                    taken = _take_lanes(pending, count)
+                for part in split_batch(total, fulls, weights=w):
+                    d = part.device
+                    taken = _take_lanes(pending, part.count)
                     if taken:
                         n = sum(s2 - s1 for s1, s2 in taken)
                         assignments.append(

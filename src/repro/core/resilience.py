@@ -3,10 +3,10 @@
 The paper's dispatcher (paper Section 5.4) already expresses a degradation
 order — fused for tiny orders, sliding-window as the workhorse, and the
 fork-join reference design "as a safeguard".  This module turns that order
-into an actual fault-tolerance ladder.  The resilient drivers
-(:func:`gbtrf_batch_resilient`, :func:`gbtrs_batch_resilient`,
-:func:`gbsv_batch_resilient`, reachable as ``resilient=True`` on the plain
-drivers) wrap each kernel stage so that a batch survives the failure modes
+into an actual fault-tolerance ladder.  The resilience layer
+(:func:`resilient`, the step of the execution chain that ``resilient=True``
+on the batched drivers turns on) wraps each kernel stage so that a batch
+survives the failure modes
 the fault-injection harness (:mod:`repro.gpusim.faults`) models:
 
 * **transient launch failures** (:class:`~repro.errors.DeviceError`) are
@@ -53,30 +53,14 @@ from dataclasses import dataclass, field, fields as _dataclass_fields
 
 import numpy as np
 
-from ..band.layout import ldab_for_factor
 from ..errors import (
     DeviceError,
     DeviceLostError,
     DeviceMemoryError,
     KernelHangError,
     SharedMemoryError,
-    check_arg,
-)
-from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..types import Trans
-from .batch_args import (
-    as_matrix_list,
-    as_rhs_list,
-    check_gb_args,
-    ensure_info,
-    ensure_pivots,
 )
 from .gbrfs import gbrfs
-from .gbtf2 import gbtf2
-from .gbtrf import gbtrf_batch, select_gbtrf_method
-from .gbtrs import gbtrs_batch
-from .gbsv import gbsv_batch, select_gbsv_method
-from .solve_blocks import gbtrs_unblocked
 
 __all__ = [
     "ResiliencePolicy",
@@ -84,13 +68,8 @@ __all__ = [
     "merge_reports",
     "escalate_device_faults",
     "device_fault_escalation_active",
-    "gbtrf_batch_resilient",
-    "gbtrs_batch_resilient",
-    "gbsv_batch_resilient",
+    "resilient",
 ]
-
-_GBTRF_LADDER = ("fused", "window", "reference")
-_GBTRS_LADDER = ("blocked", "reference")
 
 #: Marker used in :attr:`BatchReport.fallbacks` when a quarantine re-run
 #: abandoned the reference *kernels* for the host reference *algorithm*.
@@ -111,6 +90,11 @@ _ESCALATE = threading.local()
 def device_fault_escalation_active() -> bool:
     """True inside an :func:`escalate_device_faults` scope (this thread)."""
     return getattr(_ESCALATE, "depth", 0) > 0
+
+
+def _escalates(exc) -> bool:
+    return (isinstance(exc, (DeviceLostError, KernelHangError))
+            and device_fault_escalation_active())
 
 
 @contextmanager
@@ -191,6 +175,18 @@ class ResiliencePolicy:
         """Backoff before retry number ``attempt`` (1-based), in seconds."""
         return min(self.backoff_base * (2.0 ** (attempt - 1)),
                    self.backoff_cap)
+
+
+#: :class:`BatchReport` fields :func:`merge_reports` adds up (counters,
+#: and the ``chunks`` tuple concatenated) and takes the maximum of.
+_SUMMED = ("retries", "launch_failures", "smem_rejections", "backoff_total",
+           "footprint_bytes", "chunks", "oom_failures", "failovers", "hedges",
+           "verified_lanes", "recomputes")
+_MAXED = ("makespan", "residual_max", "growth_max", "berr_max", "ferr_max")
+#: :class:`BatchReport` fields holding lane-index tuples.
+_LANE_FIELDS = ("quarantined", "singular", "corrupted", "refined",
+                "unrecovered", "sdc_detected", "sdc_recovered",
+                "digest_mismatches", "ill_conditioned")
 
 
 @dataclass
@@ -422,10 +418,7 @@ class BatchReport:
         """
         known = {f.name for f in _dataclass_fields(cls)}
         d = {k: v for k, v in data.items() if k in known}
-        for name in ("quarantined", "singular", "corrupted", "refined",
-                     "unrecovered", "chunks", "devices", "sdc_detected",
-                     "sdc_recovered", "digest_mismatches",
-                     "ill_conditioned"):
+        for name in _LANE_FIELDS + ("chunks", "devices"):
             d[name] = tuple(d.get(name, ()))
         d["fallbacks"] = [tuple(f) for f in d.get("fallbacks", [])]
         d["device_events"] = [dict(e) for e in d.get("device_events", [])]
@@ -444,60 +437,35 @@ def merge_reports(operation: str, batch: int, parts) -> BatchReport:
     info = np.zeros(batch, dtype=np.int64)
     for idxs, rep in parts:
         merged.method_requested = rep.method_requested
-        merged.retries += rep.retries
-        merged.launch_failures += rep.launch_failures
-        merged.smem_rejections += rep.smem_rejections
-        merged.backoff_total += rep.backoff_total
-        merged.fallbacks.extend(rep.fallbacks)
-        merged.footprint_bytes += rep.footprint_bytes
-        if rep.budget_bytes is not None:
-            merged.budget_bytes = (rep.budget_bytes
-                                   if merged.budget_bytes is None
-                                   else min(merged.budget_bytes,
-                                            rep.budget_bytes))
-        merged.chunks += rep.chunks
-        merged.oom_failures += rep.oom_failures
-        merged.chunk_events.extend(rep.chunk_events)
+        for name in _SUMMED:
+            setattr(merged, name, getattr(merged, name) + getattr(rep, name))
+        for name in _MAXED:
+            setattr(merged, name, max(getattr(merged, name),
+                                      getattr(rep, name)))
+        for name in ("budget_bytes", "rcond_min"):      # None means unset
+            mine, theirs = getattr(merged, name), getattr(rep, name)
+            if theirs is not None:
+                setattr(merged, name,
+                        theirs if mine is None else min(mine, theirs))
+        for name in ("fallbacks", "chunk_events", "device_events"):
+            getattr(merged, name).extend(getattr(rep, name))
         merged.devices += tuple(d for d in rep.devices
                                 if d not in merged.devices)
-        merged.makespan = max(merged.makespan, rep.makespan)
-        merged.device_events.extend(rep.device_events)
-        merged.failovers += rep.failovers
-        merged.hedges += rep.hedges
         if rep.verify_mode:
             merged.verify_mode = rep.verify_mode
-        merged.verified_lanes += rep.verified_lanes
-        merged.recomputes += rep.recomputes
-        merged.residual_max = max(merged.residual_max, rep.residual_max)
-        merged.growth_max = max(merged.growth_max, rep.growth_max)
-        merged.berr_max = max(merged.berr_max, rep.berr_max)
-        merged.ferr_max = max(merged.ferr_max, rep.ferr_max)
-        if rep.rcond_min is not None:
-            merged.rcond_min = (rep.rcond_min
-                                if merged.rcond_min is None
-                                else min(merged.rcond_min, rep.rcond_min))
         for stage, meth in rep.methods.items():
             prev = merged.methods.get(stage)
             if prev is None:
                 merged.methods[stage] = meth
             elif meth not in prev.split("+"):
                 merged.methods[stage] = prev + "+" + meth
-        remap = lambda lanes: tuple(int(idxs[k]) for k in lanes)
-        merged.quarantined += remap(rep.quarantined)
-        merged.singular += remap(rep.singular)
-        merged.corrupted += remap(rep.corrupted)
-        merged.refined += remap(rep.refined)
-        merged.unrecovered += remap(rep.unrecovered)
-        merged.sdc_detected += remap(rep.sdc_detected)
-        merged.sdc_recovered += remap(rep.sdc_recovered)
-        merged.digest_mismatches += remap(rep.digest_mismatches)
-        merged.ill_conditioned += remap(rep.ill_conditioned)
+        for name in _LANE_FIELDS:
+            setattr(merged, name, getattr(merged, name) + tuple(
+                int(idxs[k]) for k in getattr(rep, name)))
         if rep.info is not None:
             for j, i in enumerate(idxs):
                 info[i] = rep.info[j]
-    for name in ("quarantined", "singular", "corrupted", "refined",
-                 "unrecovered", "sdc_detected", "sdc_recovered",
-                 "digest_mismatches", "ill_conditioned"):
+    for name in _LANE_FIELDS:
         setattr(merged, name, tuple(sorted(getattr(merged, name))))
     merged.info = info
     return merged
@@ -533,8 +501,7 @@ def _run_ladder(report: BatchReport, stage: str, ladder, call, restore,
                 # Whole-device failures and watchdog hangs escalate to the
                 # pipeline coordinator (which owns failover) instead of
                 # being retried on a device that just died.
-                if (isinstance(exc, (DeviceLostError, KernelHangError))
-                        and device_fault_escalation_active()):
+                if _escalates(exc):
                     raise
                 last = exc
                 # Allocation failures (injected or genuine pressure) are
@@ -563,25 +530,31 @@ def _run_ladder(report: BatchReport, stage: str, ladder, call, restore,
 
 
 def _ladder_with_host(report: BatchReport, stage: str, ladder, call,
-                      restore, policy: ResiliencePolicy, host) -> None:
+                      restore, policy: ResiliencePolicy, host,
+                      net: str = HOST_FALLBACK) -> bool:
     """Run the kernel ladder with the host reference algorithm as the net.
 
     When every rung is exhausted — a storm that rejects even the
     reference kernels — the stage finishes on the host (``gbtf2`` /
     ``gbtrs_unblocked``), which the design-equivalence tests pin as
     bit-identical to the reference kernels.  With the net in place the
-    resilient drivers raise only for argument errors.
+    resilient drivers raise only for argument errors.  With ``host=None``
+    the exhausted stage is only rewound and recorded as falling back to
+    ``net`` (another design the caller runs next).  Returns True when a
+    rung succeeded.
     """
     try:
         _run_ladder(report, stage, ladder, call, restore, policy)
+        return True
     except (DeviceError, DeviceMemoryError, SharedMemoryError) as exc:
-        if (isinstance(exc, (DeviceLostError, KernelHangError))
-                and device_fault_escalation_active()):
+        if _escalates(exc):
             raise
         restore()
-        host()
-        report.fallbacks.append((stage, ladder[-1], HOST_FALLBACK))
-        report.methods[stage] = HOST_FALLBACK
+        if host is not None:
+            host()
+            report.methods[stage] = net
+        report.fallbacks.append((stage, ladder[-1], net))
+        return False
 
 
 def _vec_for(method: str, vectorize):
@@ -594,433 +567,102 @@ def _vec_for(method: str, vectorize):
     return None if (vectorize and method == "reference") else vectorize
 
 
-def _gbtrf_ladder(method: str, device, m, n, kl, ku, itemsize):
-    if method == "auto":
-        method = select_gbtrf_method(device, m, n, kl, ku, itemsize)
-    return _GBTRF_LADDER[_GBTRF_LADDER.index(method):]
+# --- the resilience layer -------------------------------------------------
 
+def resilient(op, opts, below):
+    """Resilience layer of the execution chain (:mod:`repro.core.chain`).
 
-def _gbtrs_ladder(method: str):
-    if method == "auto":
-        method = "blocked"
-    return _GBTRS_LADDER[_GBTRS_LADDER.index(method):]
-
-
-# --- lane health -----------------------------------------------------------
-
-def _lane_nonfinite(mat, kl: int, ku: int) -> bool:
-    """Non-finite anywhere in the factor-relevant rows of one band matrix.
-
-    Rows past ``2*kl + ku + 1`` are caller padding the kernels never
-    touch; scanning them would quarantine lanes for garbage we did not
-    produce.
+    Runs ``op`` down its design ladder (retry, rung fallback, host net),
+    then quarantines singular and non-finite lanes: they are rewound to
+    their pristine inputs and re-run through the reference design — the
+    factorization first, then the solve of the lanes it recovered — and a
+    recovered ``gbsv`` lane that was corrupted or shows pivot growth past
+    ``policy.growth_threshold`` gets one :func:`~repro.core.gbrfs.gbrfs`
+    pass.  Every attempt is handed to ``below`` (the launch).  Passes
+    straight through unless ``opts.resilient``; returns the report.
+    Healthy lanes are bit-identical to a fault-free call.
     """
-    rows = ldab_for_factor(kl, ku)
-    return not bool(np.all(np.isfinite(mat[:rows])))
+    if not opts.resilient:
+        return below(op, opts)
+    from .verify import pivot_growth_batch
+    policy = opts.policy or ResiliencePolicy()
+    report = BatchReport(op.name, op.batch, method_requested=opts.method,
+                         info=op.info)
+    if op.empty:
+        return report
+    saved = op.save()
 
+    def attempt(sub, vectorize):
+        return lambda meth: below(sub, opts.replace(
+            method=meth, vectorize=_vec_for(meth, vectorize)))
 
-def _pivot_growth(fact, orig, kl: int, ku: int) -> float:
-    """Pivot growth ``max|U| / max|A|`` of one factored lane.
+    def run_rungs(stage, part, lanes, rungs, vectorize=opts.vectorize,
+                  fallback=None):
+        sub = part if lanes is None else part.pick(lanes)
+        sub_saved = saved if lanes is None else saved.pick(lanes)
+        ok = _ladder_with_host(
+            report, stage, rungs, attempt(sub, vectorize),
+            lambda: sub.rewind(sub_saved), policy,
+            None if fallback else sub.host, fallback or HOST_FALLBACK)
+        return sub, ok
 
-    ``U`` occupies rows ``0 .. kl+ku`` of the factor layout.  Returns 0
-    for an all-zero input; NaN factors yield NaN, which compares False
-    against any threshold (those lanes are already quarantined as
-    corrupted).
-    """
-    rows = ldab_for_factor(kl, ku)
-    denom = float(np.max(np.abs(orig[:rows]))) if orig.size else 0.0
-    if denom == 0.0:
-        return 0.0
-    return float(np.max(np.abs(fact[:kl + ku + 1])) / denom)
-
-
-# --- quarantine re-runs ----------------------------------------------------
-
-def _reference_refactor(report, stage, m, n, kl, ku, sub_mats, sub_piv,
-                        sub_info, sub_snap, device, stream, policy):
-    """Re-factor quarantined lanes through the reference design.
-
-    Tries the reference kernels (with the usual retry budget); if the
-    fault storm takes those down too, the host net of
-    :func:`_ladder_with_host` finishes the lanes.
-    """
-    def restore():
-        for a, s in zip(sub_mats, sub_snap):
-            a[...] = s
-        for p in sub_piv:
-            p[...] = 0
-        sub_info[...] = 0
-
-    def attempt(meth):
-        gbtrf_batch(m, n, kl, ku, sub_mats, sub_piv, sub_info,
-                    batch=len(sub_mats), device=device, stream=stream,
-                    method="reference", vectorize=None)
-
-    def host():
-        for j, (a, p) in enumerate(zip(sub_mats, sub_piv)):
-            _, inf = gbtf2(m, n, kl, ku, a, p)
-            sub_info[j] = inf
-
-    _ladder_with_host(report, stage, ("reference",), attempt, restore,
-                      policy, host)
-
-
-def _reference_resolve(report, stage, trans, n, kl, ku, nrhs, sub_mats,
-                       sub_piv, sub_rhs, sub_snap_b, device, stream, policy):
-    """Re-solve recovered lanes through the reference design (or host)."""
-    def restore():
-        for b, s in zip(sub_rhs, sub_snap_b):
-            b[...] = s
-
-    def attempt(meth):
-        gbtrs_batch(trans, n, kl, ku, nrhs, sub_mats, sub_piv, sub_rhs,
-                    batch=len(sub_mats), device=device, stream=stream,
-                    method="reference", vectorize=None)
-
-    def host():
-        for a, p, b in zip(sub_mats, sub_piv, sub_rhs):
-            gbtrs_unblocked(trans, n, kl, ku, a, p, b)
-
-    _ladder_with_host(report, stage, ("reference",), attempt, restore,
-                      policy, host)
-
-
-# --- resilient drivers -----------------------------------------------------
-
-def gbtrf_batch_resilient(m, n, kl, ku, a_array, pv_array=None, info=None, *,
-                          batch: int | None = None,
-                          device: DeviceSpec = H100_PCIE, stream=None,
-                          method: str = "auto", nb: int | None = None,
-                          threads: int | None = None,
-                          vectorize: bool | None = None,
-                          policy: ResiliencePolicy | None = None):
-    """Self-healing :func:`~repro.core.gbtrf.gbtrf_batch`.
-
-    Returns ``(pivots, info, report)``.  Healthy lanes are bit-identical
-    to a fault-free call (every gbtrf design is bit-identical, and retries
-    restore the operands from snapshots before re-running).
-    """
-    policy = policy or ResiliencePolicy()
-    check_arg(method in ("auto",) + _GBTRF_LADDER, 14,
-              f"method must be one of {('auto',) + _GBTRF_LADDER}, "
-              f"got {method!r}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(m, n, kl, ku, mats, batch=batch)
-    mn = min(m, n)
-    pivots = ensure_pivots(pv_array, batch, mn, arg_pos=7, zero=True)
-    info = ensure_info(info, batch, arg_pos=8)
-    report = BatchReport("gbtrf", batch, method_requested=method, info=info)
-    if batch == 0 or mn == 0:
-        return pivots, info, report
-
-    snap_a = [a.copy() for a in mats]
-    ladder = _gbtrf_ladder(method, device, m, n, kl, ku,
-                           mats[0].dtype.itemsize)
-
-    def restore():
-        for a, s in zip(mats, snap_a):
-            a[...] = s
-        for p in pivots:
-            p[...] = 0
-        info[...] = 0
-
-    def attempt(meth):
-        gbtrf_batch(m, n, kl, ku, mats, pivots, info, batch=batch,
-                    device=device, stream=stream, method=meth, nb=nb,
-                    threads=threads, vectorize=_vec_for(meth, vectorize))
-
-    def host():
-        for j, (a, p) in enumerate(zip(mats, pivots)):
-            _, inf = gbtf2(m, n, kl, ku, a, p)
-            info[j] = inf
-
-    _ladder_with_host(report, "gbtrf", ladder, attempt, restore, policy,
-                      host)
-
-    singular = [k for k in range(batch) if info[k] > 0]
-    corrupted = [k for k in range(batch)
-                 if info[k] <= 0 and _lane_nonfinite(mats[k], kl, ku)]
-    bad = sorted(singular + corrupted)
-    if bad:
-        report.quarantined = tuple(bad)
-        report.singular = tuple(singular)
-        report.corrupted = tuple(corrupted)
-        # Rewind the quarantined lanes to their pristine inputs before the
-        # reference re-run (the gbsv/gbtrs drivers do the same); without
-        # this a poisoned lane would be re-factored from its NaNs.
-        for k in bad:
-            mats[k][...] = snap_a[k]
-            pivots[k][...] = 0
-        sub_info = np.zeros(len(bad), dtype=np.int64)
-        _reference_refactor(report, "quarantine:gbtrf", m, n, kl, ku,
-                            [mats[k] for k in bad],
-                            [pivots[k] for k in bad], sub_info,
-                            [snap_a[k] for k in bad], device, stream, policy)
-        unrecovered = []
-        for j, k in enumerate(bad):
-            info[k] = sub_info[j]
-            if sub_info[j] == 0 and _lane_nonfinite(mats[k], kl, ku):
-                unrecovered.append(k)
-        report.unrecovered = tuple(unrecovered)
-        report.singular = tuple(k for k in bad if info[k] > 0)
-    return pivots, info, report
-
-
-def gbtrs_batch_resilient(trans, n, kl, ku, nrhs, a_array, pv_array,
-                          b_array, info=None, *, batch: int | None = None,
-                          device: DeviceSpec = H100_PCIE, stream=None,
-                          method: str = "auto", nb: int | None = None,
-                          threads: int | None = None,
-                          rhs_tile: int | None = None,
-                          vectorize: bool | None = None,
-                          policy: ResiliencePolicy | None = None):
-    """Self-healing :func:`~repro.core.gbtrs.gbtrs_batch`.
-
-    Returns ``(info, report)``.  Lanes whose solution comes back
-    non-finite are restored and re-solved through the reference design;
-    a lane that stays non-finite (its factors or RHS are themselves
-    non-finite) is reported as unrecovered — ``info`` keeps LAPACK
-    semantics (``gbtrs`` never signals numerical singularity).
-    """
-    policy = policy or ResiliencePolicy()
-    trans = Trans.from_any(trans)
-    check_arg(method in ("auto",) + _GBTRS_LADDER, 14,
-              f"method must be one of {('auto',) + _GBTRS_LADDER}, "
-              f"got {method!r}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=6)
-    check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
-    info = ensure_info(info, batch, arg_pos=11)
-    report = BatchReport("gbtrs", batch, method_requested=method, info=info)
-    if batch == 0 or n == 0 or nrhs == 0:
-        return info, report
-
-    # Factors and pivots are read-only inputs to the solve, but a memory
-    # fault can still corrupt them mid-flight; snapshot both operands so
-    # quarantined lanes can be restored wholesale.
-    snap_a = [a.copy() for a in mats]
-    snap_b = [b.copy() for b in rhs]
-
-    def restore():
-        for b, s in zip(rhs, snap_b):
-            b[...] = s
-
-    def attempt(meth):
-        gbtrs_batch(trans, n, kl, ku, nrhs, mats, pivots, rhs, batch=batch,
-                    device=device, stream=stream, method=meth, nb=nb,
-                    threads=threads, rhs_tile=rhs_tile,
-                    vectorize=_vec_for(meth, vectorize))
-
-    def host():
-        for a, p, b in zip(mats, pivots, rhs):
-            gbtrs_unblocked(trans, n, kl, ku, a, p, b)
-
-    _ladder_with_host(report, "gbtrs", _gbtrs_ladder(method), attempt,
-                      restore, policy, host)
-
-    bad = [k for k in range(batch)
-           if not bool(np.all(np.isfinite(rhs[k])))
-           or _lane_nonfinite(mats[k], kl, ku)]
-    if bad:
-        report.quarantined = tuple(bad)
-        report.corrupted = tuple(bad)
-        for k in bad:
-            mats[k][...] = snap_a[k]
-            rhs[k][...] = snap_b[k]
-        _reference_resolve(report, "quarantine:gbtrs", trans, n, kl, ku,
-                           nrhs, [mats[k] for k in bad],
-                           [pivots[k] for k in bad],
-                           [rhs[k] for k in bad],
-                           [snap_b[k] for k in bad], device, stream, policy)
-        report.unrecovered = tuple(
-            k for k in bad if not bool(np.all(np.isfinite(rhs[k]))))
-    return info, report
-
-
-def gbsv_batch_resilient(n, kl, ku, nrhs, a_array, pv_array, b_array,
-                         info=None, *, batch: int | None = None,
-                         device: DeviceSpec = H100_PCIE, stream=None,
-                         method: str = "auto",
-                         vectorize: bool | None = None,
-                         policy: ResiliencePolicy | None = None):
-    """Self-healing :func:`~repro.core.gbsv.gbsv_batch`.
-
-    Returns ``(pivots, info, report)``.  The fused single-kernel path
-    (when selected) degrades to the standard two-stage path on failure;
-    each stage of the standard path runs its own retry/fallback ladder.
-    Quarantined lanes are re-run from snapshots through the reference
-    design; recovered lanes quarantined for non-finite output — or whose
-    pivot growth exceeds ``policy.growth_threshold`` — get one
-    :func:`~repro.core.gbrfs.gbrfs` refinement pass.  Singular lanes keep
-    LAPACK semantics: factors and pivots are written, ``info > 0``, and
-    ``B`` is left unchanged.
-    """
-    policy = policy or ResiliencePolicy()
-    check_arg(method in ("auto", "fused", "standard"), 12,
-              f"method must be one of ('auto', 'fused', 'standard'), "
-              f"got {method!r}")
-    check_arg(nrhs >= 0, 4, f"nrhs must be non-negative, got {nrhs}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(n, n, kl, ku, mats, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
-    info = ensure_info(info, batch, arg_pos=8)
-    report = BatchReport("gbsv", batch, method_requested=method, info=info)
-    if batch == 0 or n == 0:
-        return pivots, info, report
-
-    snap_a = [a.copy() for a in mats]
-    snap_b = [b.copy() for b in rhs]
-    if method == "auto":
-        method = select_gbsv_method(device, n, kl, ku, nrhs,
-                                    mats[0].dtype.itemsize)
-
-    def restore_all():
-        for a, s in zip(mats, snap_a):
-            a[...] = s
-        for b, s in zip(rhs, snap_b):
-            b[...] = s
-        for p in pivots:
-            p[...] = 0
-        info[...] = 0
-
-    fused_done = False
-    if method == "fused" and nrhs >= 1:
-        def attempt_fused(meth):
-            gbsv_batch(n, kl, ku, nrhs, mats, pivots, rhs, info,
-                       batch=batch, device=device, stream=stream,
-                       method="fused", vectorize=vectorize)
-
-        try:
-            _run_ladder(report, "gbsv", ("fused",), attempt_fused,
-                        restore_all, policy)
-            fused_done = True
-        except (DeviceError, DeviceMemoryError, SharedMemoryError) as exc:
-            if (isinstance(exc, (DeviceLostError, KernelHangError))
-                    and device_fault_escalation_active()):
-                raise
-            report.fallbacks.append(("gbsv", "fused", "standard"))
-            restore_all()
-
-    if not fused_done:
-        ladder = _gbtrf_ladder("auto", device, n, n, kl, ku,
-                               mats[0].dtype.itemsize)
-
-        def restore_f():
-            for a, s in zip(mats, snap_a):
-                a[...] = s
-            for p in pivots:
-                p[...] = 0
-            info[...] = 0
-
-        def attempt_f(meth):
-            gbtrf_batch(n, n, kl, ku, mats, pivots, info, batch=batch,
-                        device=device, stream=stream, method=meth,
-                        vectorize=_vec_for(meth, vectorize))
-
-        def host_f():
-            for j, (a, p) in enumerate(zip(mats, pivots)):
-                _, inf = gbtf2(n, n, kl, ku, a, p)
-                info[j] = inf
-
-        _ladder_with_host(report, "gbtrf", ladder, attempt_f, restore_f,
-                          policy, host_f)
-
-        if nrhs:
-            # Solve only the lanes the factorization left healthy; the
-            # singular and corrupted ones go through quarantine below.
-            # (Per-lane results do not depend on sub-batch composition —
-            # both execution paths are lane-independent by contract.)
-            ok = [k for k in range(batch)
-                  if info[k] == 0 and not _lane_nonfinite(mats[k], kl, ku)]
-            if ok:
-                sub_m = [mats[k] for k in ok]
-                sub_p = [pivots[k] for k in ok]
-                sub_b = [rhs[k] for k in ok]
-
-                def restore_s():
-                    for k in ok:
-                        rhs[k][...] = snap_b[k]
-
-                def attempt_s(meth):
-                    gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, sub_m,
-                                sub_p, sub_b, batch=len(ok), device=device,
-                                stream=stream, method=meth,
-                                vectorize=_vec_for(meth, vectorize))
-
-                def host_s():
-                    for a, p, b in zip(sub_m, sub_p, sub_b):
-                        gbtrs_unblocked(Trans.NO_TRANS, n, kl, ku, a, p, b)
-
-                _ladder_with_host(report, "gbtrs", _GBTRS_LADDER,
-                                  attempt_s, restore_s, policy, host_s)
+    for stage, part, lanes, rungs, fallback in op.design_ladder(
+            opts.device, opts.method):
+        _, ok = run_rungs(stage, part, lanes, rungs, fallback=fallback)
+        if fallback and ok:
+            break       # the preferred design served every lane
 
     # -- quarantine ---------------------------------------------------------
-    singular = [k for k in range(batch) if info[k] > 0]
-    corrupted = []
-    for k in range(batch):
-        if info[k] > 0:
-            continue
-        if _lane_nonfinite(mats[k], kl, ku):
-            corrupted.append(k)
-        elif nrhs and not bool(np.all(np.isfinite(rhs[k]))):
-            corrupted.append(k)
+    singular, corrupted = op.health()
     bad = sorted(singular + corrupted)
     if not bad:
-        return pivots, info, report
+        return report
     report.quarantined = tuple(bad)
     report.singular = tuple(singular)
     report.corrupted = tuple(corrupted)
-
     for k in bad:
-        mats[k][...] = snap_a[k]
-        pivots[k][...] = 0
-        rhs[k][...] = snap_b[k]
-    sub_info = np.zeros(len(bad), dtype=np.int64)
-    _reference_refactor(report, "quarantine:gbtrf", n, n, kl, ku,
-                        [mats[k] for k in bad], [pivots[k] for k in bad],
-                        sub_info, [snap_a[k] for k in bad], device, stream,
-                        policy)
+        op.mats[k][...] = saved.mats[k]
+        if op.factors_out:
+            op.pivots[k][...] = 0
+        if op.rhs is not None:
+            op.rhs[k][...] = saved.rhs[k]
     unrecovered = []
-    recovered = []
-    for j, k in enumerate(bad):
-        info[k] = sub_info[j]
-        if sub_info[j] > 0:
-            # Genuinely singular: factors + pivots stand, B stays as the
-            # caller supplied it (LAPACK semantics).
-            rhs[k][...] = snap_b[k]
-        elif _lane_nonfinite(mats[k], kl, ku):
-            unrecovered.append(k)
-        else:
-            recovered.append(k)
-    if nrhs and recovered:
-        _reference_resolve(report, "quarantine:gbtrs", Trans.NO_TRANS, n,
-                           kl, ku, nrhs, [mats[k] for k in recovered],
-                           [pivots[k] for k in recovered],
-                           [rhs[k] for k in recovered],
-                           [snap_b[k] for k in recovered], device, stream,
-                           policy)
+    recovered = bad
+    if op.factors_out:
+        sub, _ = run_rungs("quarantine:gbtrf", op.factor_part, bad,
+                           ("reference",), vectorize=None)
+        recovered = []
+        for j, k in enumerate(bad):
+            op.info[k] = sub.info[j]
+            if sub.info[j] > 0:
+                # Genuinely singular: factors + pivots stand, B stays as
+                # the caller supplied it (LAPACK semantics).
+                if op.rhs is not None:
+                    op.rhs[k][...] = saved.rhs[k]
+            elif op.lane_nonfinite(k):
+                unrecovered.append(k)
+            else:
+                recovered.append(k)
+    if op.rhs is not None and op.nrhs and recovered:
+        run_rungs("quarantine:gbtrs", op.solve_part, recovered,
+                  ("reference",), vectorize=None)
         refined = []
         corrupt_set = set(corrupted)
         for k in recovered:
-            if not bool(np.all(np.isfinite(rhs[k]))):
+            if not bool(np.all(np.isfinite(op.rhs[k]))):
                 unrecovered.append(k)
                 continue
-            if not policy.refine:
+            if not (op.factors_out and policy.refine):
                 continue
-            growth = _pivot_growth(mats[k], snap_a[k], kl, ku)
+            orig = saved.mats[k][:op.rows]
+            growth = pivot_growth_batch(op.mats[k][None], orig[None],
+                                        op.kl, op.ku)[0]
             if k in corrupt_set or growth > policy.growth_threshold:
-                gbrfs(n, kl, ku, snap_a[k], mats[k], pivots[k], snap_b[k],
-                      rhs[k], max_iter=1)
+                gbrfs(op.n, op.kl, op.ku, saved.mats[k], op.mats[k],
+                      op.pivots[k], saved.rhs[k], op.rhs[k], max_iter=1)
                 refined.append(k)
-        report.refined = tuple(refined)
+        if op.factors_out:
+            report.refined = tuple(refined)
     report.unrecovered = tuple(sorted(unrecovered))
-    report.singular = tuple(k for k in bad if info[k] > 0)
-    return pivots, info, report
+    report.singular = tuple(k for k in bad if op.info[k] > 0)
+    return report

@@ -40,8 +40,9 @@ batched drivers turns on:
 Healthy lanes — lanes that pass their gate — are never touched, so a
 verified call is bit-identical to an unverified one on every lane that
 was not corrupted, across chunking, ``[vec]``/``[vec+soa]``/``[vec+pack]``
-routes, pipelining and failover (verification wraps the driver *outside*
-all of those stages).
+routes, pipelining and failover (:func:`verified` is the outermost layer
+of the execution chain, :mod:`repro.core.chain`, so it wraps all of those
+stages).
 """
 
 from __future__ import annotations
@@ -51,13 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..band.layout import ldab_for_factor
 from ..band.ops import band_norm_1, solve_residual
 from ..errors import DataCorruptionError, check_arg
-from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..types import Trans
-from .batch_args import as_matrix_list, as_rhs_list, check_gb_args, \
-    ensure_info, ensure_pivots
 from .gbcon import gbcon
 from .gbequ import gbequ, laqgb
 from .gbrfs import gbrfs
@@ -74,9 +71,7 @@ __all__ = [
     "factor_norms_inf",
     "pivot_growth_batch",
     "operand_digest",
-    "verified_gbtrf_batch",
-    "verified_gbtrs_batch",
-    "verified_gbsv_batch",
+    "verified",
 ]
 
 _MODES = ("cheap", "full")
@@ -193,14 +188,10 @@ def as_verify_policy(verify) -> VerifyPolicy | None:
         return VerifyPolicy()
     if isinstance(verify, VerifyPolicy):
         return verify
-    if isinstance(verify, str):
-        check_arg(verify in _MODES, 0,
-                  f"verify must be one of {_MODES}, a VerifyPolicy, "
-                  f"True or None, got {verify!r}")
-        return VerifyPolicy(mode=verify)
-    check_arg(False, 0,
+    check_arg(isinstance(verify, str) and verify in _MODES, 0,
               f"verify must be one of {_MODES}, a VerifyPolicy, True or "
               f"None, got {verify!r}")
+    return VerifyPolicy(mode=verify)
 
 
 # --- batched band kernels of the gate --------------------------------------
@@ -218,13 +209,19 @@ def band_mv_batch(ab3: np.ndarray, x3: np.ndarray, n: int, kl: int,
     if offset is None:
         offset = kl + ku
     y = np.zeros(x3.shape, dtype=np.result_type(ab3.dtype, x3.dtype))
-    for d in range(-kl, ku + 1):
-        row = offset - d
-        lo, hi = max(0, d), n + min(0, d)
-        if hi <= lo:
-            continue
+    for row, lo, hi, d in _diagonals(n, kl, ku, offset):
         y[:, lo - d:hi - d, :] += ab3[:, row, lo:hi, None] * x3[:, lo:hi, :]
     return y
+
+
+def _diagonals(n: int, kl: int, ku: int, offset: int):
+    """``(row, lo, hi, d)`` for each non-empty diagonal ``d`` in
+    ``-kl..ku``: band row ``row`` holds ``A[j - d, j]`` for ``lo <= j <
+    hi``."""
+    for d in range(-kl, ku + 1):
+        lo, hi = max(0, d), n + min(0, d)
+        if hi > lo:
+            yield offset - d, lo, hi, d
 
 
 def plu_apply_batch(fact3: np.ndarray, piv2: np.ndarray,
@@ -240,11 +237,7 @@ def plu_apply_batch(fact3: np.ndarray, piv2: np.ndarray,
     """
     kv = kl + ku
     y = np.zeros(x3.shape, dtype=np.result_type(fact3.dtype, x3.dtype))
-    for d in range(0, kv + 1):
-        row = kv - d
-        lo, hi = max(0, d), n + min(0, d)
-        if hi <= lo:
-            continue
+    for row, lo, hi, d in _diagonals(n, 0, kv, kv):
         y[:, lo - d:hi - d, :] += fact3[:, row, lo:hi, None] * x3[:, lo:hi, :]
     if kl > 0:
         bidx = np.arange(fact3.shape[0])
@@ -268,11 +261,7 @@ def band_norms_inf(ab3: np.ndarray, n: int, kl: int, ku: int, *,
     if offset is None:
         offset = kl + ku
     sums = np.zeros((ab3.shape[0], n), dtype=np.float64)
-    for d in range(-kl, ku + 1):
-        row = offset - d
-        lo, hi = max(0, d), n + min(0, d)
-        if hi <= lo:
-            continue
+    for row, lo, hi, d in _diagonals(n, kl, ku, offset):
         sums[:, lo - d:hi - d] += np.abs(ab3[:, row, lo:hi])
     if sums.size == 0:
         return np.zeros(ab3.shape[0])
@@ -294,14 +283,20 @@ def pivot_growth_batch(fact3: np.ndarray, orig3: np.ndarray, kl: int,
     """Per-lane pivot growth ``max|U| / max|A|``, 0 for all-zero inputs."""
     if fact3.shape[0] == 0 or fact3.shape[2] == 0:
         return np.zeros(fact3.shape[0])
-    # max|x| as max(max, -min): two allocation-free reductions instead
-    # of materialising |stack| (tens of MB at paper scale).
     sub = fact3[:, :kl + ku + 1]
-    num = np.maximum(sub.max(axis=(1, 2)), -sub.min(axis=(1, 2)))
-    den = np.maximum(orig3.max(axis=(1, 2)), -orig3.min(axis=(1, 2)))
+    num, den = _abs_max(sub), _abs_max(orig3)
     with np.errstate(divide="ignore", invalid="ignore"):
         growth = np.where(den > 0, num / den, 0.0)
     return growth
+
+
+def _abs_max(stack3: np.ndarray) -> np.ndarray:
+    """Per-lane ``max|x|`` of a ``(batch, rows, n)`` stack."""
+    if np.iscomplexobj(stack3):
+        return np.abs(stack3).max(axis=(1, 2))
+    # max|x| as max(max, -min): two allocation-free reductions instead
+    # of materialising |stack| (tens of MB at paper scale).
+    return np.maximum(stack3.max(axis=(1, 2)), -stack3.min(axis=(1, 2)))
 
 
 def operand_digest(*arrays) -> str:
@@ -318,29 +313,23 @@ def operand_digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _snap_rows(array, mats, rows) -> np.ndarray:
-    """Contiguous ``(batch, rows, n)`` copy of every lane's band rows.
+def _lane_rows(array, mats, rows, *, copy: bool = True) -> np.ndarray:
+    """``(batch, rows, n)`` stack of every lane's band rows.
 
     A 3-D ndarray batch (lane-major stack or an interleaved logical
     view) is sliced wholesale — at paper scale, stacking 1000 per-lane
-    views costs more than the residual gate itself.  Other containers
-    (`PointerArray`, per-lane sequences) take the per-lane path.
+    views costs more than the residual gate itself — and returned as a
+    contiguous snapshot, or as a read-only logical view with
+    ``copy=False`` (for reduction-only consumers that never outlive the
+    call).  Other containers (`PointerArray`, per-lane sequences) take
+    the per-lane path.
     """
     if (isinstance(array, np.ndarray) and array.ndim == 3
             and len(mats) <= array.shape[0] and array.shape[1] >= rows):
+        view = array[:len(mats), :rows]
         # np.array (not ascontiguousarray): these are snapshots, and a
         # full-height contiguous slice would alias the live batch.
-        return np.array(array[:len(mats), :rows], order="C")
-    return np.stack([np.asarray(m)[:rows] for m in mats])
-
-
-def _lane_rows_view(array, mats, rows) -> np.ndarray:
-    """Like :func:`_snap_rows` but returns a read-only logical view when
-    the batch is a 3-D ndarray — for reduction-only consumers that never
-    outlive the call."""
-    if (isinstance(array, np.ndarray) and array.ndim == 3
-            and len(mats) <= array.shape[0] and array.shape[1] >= rows):
-        return array[:len(mats), :rows]
+        return np.array(view, order="C") if copy else view
     return np.stack([np.asarray(m)[:rows] for m in mats])
 
 
@@ -363,29 +352,25 @@ def _finite_max(values, mask=None) -> float:
     return float(vals.max()) if vals.size else 0.0
 
 
+def _fails(s, tol: float) -> bool:
+    """A gate verdict: residual above tolerance or non-finite."""
+    return not np.isfinite(s) or s > tol
+
+
 def _failing(scaled: np.ndarray, tol: float, eligible) -> list[int]:
-    """Lanes whose gate fails: residual above tolerance or non-finite."""
-    out = []
-    for k in eligible:
-        s = scaled[k]
-        if not np.isfinite(s) or s > tol:
-            out.append(int(k))
-    return out
+    """Lanes whose gate fails."""
+    return [int(k) for k in eligible if _fails(scaled[k], tol)]
 
 
-def _stamp_condition(report, policy, n, kl, ku, mats, pivots, anorms1,
-                     info, rows):
-    """Full-mode condition stamping: ``rcond`` for every healthy lane."""
-    rconds = []
-    for k in range(len(mats)):
-        if info[k] != 0:
-            continue
-        rconds.append(gbcon("1", n, kl, ku, mats[k][:rows], pivots[k],
-                            float(anorms1[k])))
-    if rconds:
-        rmin = float(min(rconds))
-        report.rcond_min = (rmin if report.rcond_min is None
-                            else min(report.rcond_min, rmin))
+def _lane_absmax(x3: np.ndarray) -> np.ndarray:
+    """Per-lane ``max|x|`` of a ``(batch, ...)`` stack."""
+    return np.abs(x3).reshape(len(x3), -1).max(axis=1)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Scaled residuals ``num / den``, unscaled where ``den`` is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num / den, num)
 
 
 def _rcond_of(n, kl, ku, fact, piv, anorm1) -> float:
@@ -416,151 +401,256 @@ def _classify(report, policy, op, device, failing, residuals, growth,
     return ill, corrupt
 
 
-def _base_report(op, batch, method, info, inner) -> BatchReport:
-    if inner is not None:
-        return inner
-    return BatchReport(op, batch, method_requested=method, info=info)
+VERIFY_EXEC_MSG = ("verify requires full functional execution "
+                   "(execute=True, max_blocks=None)")
 
 
-_VERIFY_EXEC_MSG = ("verify requires full functional execution "
-                    "(execute=True, max_blocks=None)")
+# --- the verify layer ------------------------------------------------------
 
+def verified(op, opts, below):
+    """Verify layer of the execution chain (:mod:`repro.core.chain`).
 
-# --- verified drivers ------------------------------------------------------
-
-def verified_gbsv_batch(n, kl, ku, nrhs, a_array, pv_array, b_array,
-                        info=None, *, batch=None, verify=True,
-                        device: DeviceSpec = H100_PCIE, stream=None,
-                        method: str = "auto", execute: bool = True,
-                        max_blocks=None, vectorize=None,
-                        resilient: bool = False, policy=None,
-                        max_resident_bytes=None, chunk_hint=None,
-                        streams=None, devices=None, overlap=None,
-                        layout=None):
-    """:func:`~repro.core.gbsv.gbsv_batch` behind the residual gate.
-
-    Runs the driver unchanged (all knobs — governance, pipelining,
-    layout, resilience — forwarded), then verifies every healthy lane's
-    solution against pristine snapshots of ``A`` and ``b`` and escalates
-    failing lanes through the recovery ladder.  Returns ``(pivots, info,
-    report)``; healthy lanes are bit-identical to an unverified call.
+    Snapshots the pristine operands through the descriptor's gate
+    (``op.verify_gate``), runs the rest of the chain unchanged, then
+    checks every healthy lane and escalates failing ones: exact recompute
+    of the lane subset through the layers below (governed, default
+    knobs) → the host reference path → the gate's own extra rungs.  Lanes
+    that still fail are classified ill-conditioned or corrupted.  Passes
+    straight through unless ``opts.verify``; returns the report.  Healthy
+    lanes are bit-identical to an unverified call.
     """
-    vp = as_verify_policy(verify) or VerifyPolicy()
-    check_arg(execute and max_blocks is None, 13, _VERIFY_EXEC_MSG)
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(n, n, kl, ku, mats, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
-    info = ensure_info(info, batch, arg_pos=8)
-    rows = ldab_for_factor(kl, ku)
-    active = batch > 0 and n > 0 and nrhs > 0
-    if active:
-        snap_a = _snap_rows(a_array, mats, rows)
-        snap_b = _snap_lanes(b_array, rhs)
-
-    from .gbsv import gbsv_batch
-    kwargs = dict(batch=batch, device=device, stream=stream, method=method,
-                  vectorize=vectorize, max_resident_bytes=max_resident_bytes,
-                  chunk_hint=chunk_hint, streams=streams, devices=devices,
-                  overlap=overlap, layout=layout)
-    if resilient:
-        _, _, report = gbsv_batch(n, kl, ku, nrhs, mats, pivots, rhs, info,
-                                  resilient=True, policy=policy, **kwargs)
-    else:
-        gbsv_batch(n, kl, ku, nrhs, mats, pivots, rhs, info, **kwargs)
-        report = _base_report("gbsv", batch, method, info, None)
+    vp = opts.verify
+    if vp is None:
+        return below(op, opts)
+    gate = op.verify_gate(vp)
+    report = below(op, opts)
+    if report is None:
+        report = BatchReport(op.name, op.batch, method_requested=opts.method,
+                             info=op.info)
     report.verify_mode = vp.mode
-    if not active:
-        return pivots, info, report
+    if gate is None:
+        return report
+    gate.check_digests(report)
 
-    tol = vp.tol_for(n, snap_a.dtype)
-    floor = vp.floor_for(n, snap_a.dtype)
-    fact3 = _lane_rows_view(a_array, mats, rows)
-    x3 = _snap_lanes(b_array, rhs)
-    anorms = band_norms_inf(snap_a, n, kl, ku)
-    r3 = band_mv_batch(snap_a, x3, n, kl, ku) - snap_b
-    rmax = np.abs(r3).reshape(batch, -1).max(axis=1)
-    xmax = np.abs(x3).reshape(batch, -1).max(axis=1)
-    bmax = np.abs(snap_b).reshape(batch, -1).max(axis=1)
-    denom = anorms * xmax + bmax
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(denom > 0, rmax / denom, rmax)
-    growth = pivot_growth_batch(fact3, snap_a, kl, ku)
-
+    info = op.info
     skip = set(report.unrecovered)
-    eligible = [k for k in range(batch) if info[k] == 0 and k not in skip]
+    eligible = [k for k in range(op.batch) if info[k] == 0 and k not in skip]
+    mask = np.zeros(op.batch, dtype=bool)
+    mask[eligible] = True
+    scaled = gate.residuals(eligible)
+    growth = gate.growth()
     report.verified_lanes += len(eligible)
-    report.residual_max = max(report.residual_max,
-                              _finite_max(scaled, [k in eligible
-                                                   for k in range(batch)]))
-    report.growth_max = max(report.growth_max,
-                            _finite_max(growth, [k in eligible
-                                                 for k in range(batch)]))
-    anorms1 = None
+    report.residual_max = max(report.residual_max, _finite_max(scaled, mask))
+    report.growth_max = max(report.growth_max, _finite_max(growth, mask))
     if vp.condition_enabled:
-        anorms1 = [band_norm_1(snap_a[k], n, kl, ku) for k in range(batch)]
-        _stamp_condition(report, vp, n, kl, ku, mats, pivots, anorms1,
-                         info, rows)
+        gate.stamp_condition(report)
 
-    failing = _failing(scaled, tol, eligible)
+    failing = _failing(scaled, gate.tol, eligible)
     if not failing:
-        return pivots, info, report
+        return report
     report.sdc_detected = tuple(
         sorted(set(report.sdc_detected) | set(failing)))
     residuals = {k: float(scaled[k]) for k in failing}
 
-    def restore(ks):
-        for k in ks:
-            mats[k][:rows] = snap_a[k]
-            pivots[k][...] = 0
-            rhs[k][...] = snap_b[k]
-
-    def reverify(ks):
-        still = []
-        for k in ks:
-            if info[k] != 0:
-                continue
-            s = solve_residual(snap_a[k], rhs[k], snap_b[k], kl, ku)
-            residuals[k] = s
-            if not np.isfinite(s) or s > tol:
-                still.append(k)
-        return still
-
-    # Rung 1: exact recompute through the driver (bit-identical designs).
-    restore(failing)
-    sub_info = np.zeros(len(failing), dtype=np.int64)
-    gbsv_batch(n, kl, ku, nrhs, [mats[k] for k in failing],
-               [pivots[k] for k in failing], [rhs[k] for k in failing],
-               sub_info, batch=len(failing), device=device, stream=stream,
-               method=method, vectorize=None)
+    # Rung 1: exact recompute through the layers below (bit-identical
+    # designs), governed with default knobs.
+    gate.restore(failing)
+    sub = op.pick(failing, tuned=False)
+    below(sub, type(opts)(device=opts.device, stream=opts.stream,
+                          method=opts.method))
     report.recomputes += len(failing)
-    for j, k in enumerate(failing):
-        info[k] = sub_info[j]
-    still = reverify(failing)
+    info[failing] = sub.info
+    still = gate.reverify(failing, residuals)
 
     # Rung 2: host reference net (bit-identical to the reference kernels).
     if still:
-        restore(still)
-        for k in still:
-            _, inf = gbtf2(n, n, kl, ku, mats[k], pivots[k])
-            info[k] = int(inf)
-            if inf == 0:
-                gbtrs_unblocked(Trans.NO_TRANS, n, kl, ku, mats[k],
-                                pivots[k], rhs[k])
+        gate.restore(still)
+        sub = op.pick(still)
+        sub.host()
+        info[still] = sub.info
         report.recomputes += len(still)
-        still = reverify(still)
+        still = gate.reverify(still, residuals)
 
-    # Rung 3: gbequ equilibrate + refactor on scratch copies.  The
-    # caller's factors keep the rung-2 state (factors of the original A);
-    # only an equilibrated solution that actually passes the gate is
-    # written back.
+    for rung in gate.extra_rungs():
+        if still:
+            still = rung(still, report, residuals)
+
+    recovered = [k for k in failing if k not in still and info[k] == 0]
+    report.sdc_recovered = tuple(
+        sorted(set(report.sdc_recovered) | set(recovered)))
     if still:
+        rconds = {k: gate.rcond(k) for k in still}
+        rmin = min(rconds.values())
+        report.rcond_min = (rmin if report.rcond_min is None
+                            else min(report.rcond_min, rmin))
+        _classify(report, vp, op.name, opts.device, still, residuals, growth,
+                  rconds, gate.floor)
+    return report
+
+
+# --- the gates -------------------------------------------------------------
+
+class Gate:
+    """A verify gate: pristine snapshots taken before the stage, then the
+    residual check and recovery rungs of one operation.  Subclasses add
+    ``residuals``, ``restore``, ``reverify`` and ``rcond``."""
+
+    def __init__(self, op, vp: VerifyPolicy):
+        self.op, self.vp = op, vp
+        self.rows = op.rows
+        self.snap_a = _lane_rows(op.raw[0], op.mats, self.rows)
+        self.tol = vp.tol_for(op.n, self.snap_a.dtype)
+        self.floor = vp.floor_for(op.n, self.snap_a.dtype)
+
+    def check_digests(self, report) -> None:
+        pass
+
+    def extra_rungs(self) -> tuple:
+        """Recovery rungs after the recompute and host rungs."""
+        return ()
+
+    def growth(self) -> np.ndarray:
+        return np.zeros(self.op.batch)
+
+    def stamp_condition(self, report) -> None:
+        pass
+
+
+class FactorGate(Gate):
+    """Shared pieces of the gates whose snapshot is the original ``A``."""
+
+    def __init__(self, op, vp: VerifyPolicy):
+        super().__init__(op, vp)
+        self._anorms1: dict = {}
+
+    def factors_view(self) -> np.ndarray:
+        return _lane_rows(self.op.raw[0], self.op.mats, self.rows, copy=False)
+
+    def growth(self) -> np.ndarray:
+        return pivot_growth_batch(self.factors_view(), self.snap_a,
+                                  self.op.kl, self.op.ku)
+
+    def anorm1(self, k: int) -> float:
+        if k not in self._anorms1:
+            op = self.op
+            self._anorms1[k] = band_norm_1(self.snap_a[k], op.n, op.kl,
+                                           op.ku)
+        return self._anorms1[k]
+
+    def stamp_condition(self, report) -> None:
+        """Full-mode condition stamping: ``rcond`` for every healthy lane."""
+        op = self.op
+        rconds = [gbcon("1", op.n, op.kl, op.ku, op.mats[k][:self.rows],
+                        op.pivots[k], float(self.anorm1(k)))
+                  for k in range(op.batch) if op.info[k] == 0]
+        if rconds:
+            rmin = float(min(rconds))
+            report.rcond_min = (rmin if report.rcond_min is None
+                                else min(report.rcond_min, rmin))
+
+    def rcond(self, k: int) -> float:
+        op = self.op
+        return _rcond_of(op.n, op.kl, op.ku, op.mats[k][:self.rows],
+                         op.pivots[k], self.anorm1(k))
+
+    def restore(self, ks) -> None:
+        for k in ks:
+            self.op.mats[k][:self.rows] = self.snap_a[k]
+            self.op.pivots[k][...] = 0
+
+
+class ProbeGate(FactorGate):
+    """``gbtrf`` gate: with no right-hand side to check, the factors are
+    verified directly — ``P L U`` (reconstructed by
+    :func:`plu_apply_batch`) applied to a deterministic probe vector must
+    reproduce ``A`` applied to the same vector."""
+
+    def __init__(self, op, vp):
+        super().__init__(op, vp)
+        n = op.n
+        # Deterministic probe (gbcon's alternating ramp): exercises every
+        # column with O(1) dynamic range, so a flipped element anywhere in
+        # the factors perturbs the probe image proportionally.
+        w = np.array([(-1.0) ** i * (1.0 + i / max(n - 1, 1))
+                      for i in range(n)])[:, None]
+        self.w3 = np.broadcast_to(w, (op.batch, n, 1))
+        self.wmax = float(np.abs(w).max())
+
+    def _probe(self, ks) -> np.ndarray:
+        """Scaled probe residuals ``|PLU w - A w|`` for the given lanes."""
+        op, idx = self.op, list(ks)
+        n, kl, ku = op.n, op.kl, op.ku
+        if len(idx) == op.batch:        # the common all-lanes gate
+            f3 = self.factors_view()
+        else:
+            f3 = np.stack([np.asarray(op.mats[k])[:self.rows] for k in idx])
+        p2 = np.stack([np.asarray(op.pivots[k]) for k in idx])
+        w3 = self.w3[:len(idx)]
+        got = plu_apply_batch(f3, p2, w3, n, kl, ku)
+        ref = band_mv_batch(self.snap_a[idx], w3, n, kl, ku)
+        unorms = factor_norms_inf(f3, n, kl, ku)
+        anorms = band_norms_inf(self.snap_a[idx], n, kl, ku)
+        return _ratio(_lane_absmax(got - ref),
+                      ((1.0 + kl) * unorms + anorms) * self.wmax)
+
+    def residuals(self, eligible) -> np.ndarray:
+        scaled = np.zeros(self.op.batch)
+        if eligible:
+            scaled[eligible] = self._probe(eligible)
+        return scaled
+
+    def reverify(self, ks, residuals) -> list:
+        live = [k for k in ks if self.op.info[k] == 0]
+        if not live:
+            return []
+        return _still_failing(live, self._probe(live), self.tol, residuals)
+
+
+class ResidualGate(FactorGate):
+    """``gbsv`` gate: the scaled residual ``||A x - b||`` of every solution
+    against pristine snapshots of ``A`` and ``b``, with two extra rungs —
+    equilibrated refactor and iterative refinement."""
+
+    def __init__(self, op, vp):
+        super().__init__(op, vp)
+        self.snap_b = _snap_lanes(op.raw[1], op.rhs)
+
+    def extra_rungs(self) -> tuple:
+        return (self._equilibrate, self._refine)
+
+    def residuals(self, eligible) -> np.ndarray:
+        op = self.op
+        x3 = _snap_lanes(op.raw[1], op.rhs)
+        anorms = band_norms_inf(self.snap_a, op.n, op.kl, op.ku)
+        r3 = band_mv_batch(self.snap_a, x3, op.n, op.kl, op.ku) - self.snap_b
+        return _ratio(_lane_absmax(r3), anorms * _lane_absmax(x3)
+                      + _lane_absmax(self.snap_b))
+
+    def restore(self, ks) -> None:
+        super().restore(ks)
+        for k in ks:
+            self.op.rhs[k][...] = self.snap_b[k]
+
+    def _residual(self, k, x) -> float:
+        return solve_residual(self.snap_a[k], x, self.snap_b[k], self.op.kl,
+                              self.op.ku)
+
+    def reverify(self, ks, residuals) -> list:
+        live = [k for k in ks if self.op.info[k] == 0]
+        return _still_failing(
+            live, [self._residual(k, self.op.rhs[k]) for k in live],
+            self.tol, residuals)
+
+    def _equilibrate(self, still, report, residuals) -> list:
+        """Rung 3: ``gbequ`` equilibrate + refactor on scratch copies.  The
+        caller's factors keep the host-rung state (factors of the original
+        ``A``); only an equilibrated solution that passes the gate is
+        written back."""
+        op = self.op
+        n, kl, ku = op.n, op.kl, op.ku
         for k in list(still):
-            scratch = snap_a[k].copy()
-            r, c, rowcnd, colcnd, _amax, einfo = gbequ(n, n, kl, ku,
-                                                       scratch)
+            scratch = self.snap_a[k].copy()
+            r, c, rowcnd, colcnd, _amax, einfo = gbequ(n, n, kl, ku, scratch)
             if einfo != 0:
                 continue
             equed = laqgb(n, n, kl, ku, scratch, r, c, rowcnd, colcnd)
@@ -570,396 +660,130 @@ def verified_gbsv_batch(n, kl, ku, nrhs, a_array, pv_array, b_array,
             _, inf = gbtf2(n, n, kl, ku, scratch, piv_s)
             if inf != 0:
                 continue
-            y = snap_b[k].astype(np.result_type(snap_b.dtype, np.float64))
+            y = self.snap_b[k].astype(
+                np.result_type(self.snap_b.dtype, np.float64))
             if equed in ("R", "B"):
                 y = y * r[:, None]
             gbtrs_unblocked(Trans.NO_TRANS, n, kl, ku, scratch, piv_s, y)
             if equed in ("C", "B"):
                 y = y * c[:, None]
             report.recomputes += 1
-            s = solve_residual(snap_a[k], y, snap_b[k], kl, ku)
-            if np.isfinite(s) and s <= tol:
-                rhs[k][...] = y.astype(snap_b.dtype, copy=False)
+            s = self._residual(k, y)
+            if np.isfinite(s) and s <= self.tol:
+                op.rhs[k][...] = y.astype(self.snap_b.dtype, copy=False)
                 residuals[k] = s
-        still = reverify(still)
+        return self.reverify(still, residuals)
 
-    # Rung 4: gbrfs iterative refinement against the pristine operands.
-    if still and vp.refine:
+    def _refine(self, still, report, residuals) -> list:
+        """Rung 4: ``gbrfs`` iterative refinement against the pristine
+        operands, stamping berr/ferr bounds."""
+        if not self.vp.refine:
+            return still
+        op = self.op
         refined = []
         for k in still:
-            if info[k] != 0:
+            if op.info[k] != 0:
                 continue
-            res = gbrfs(n, kl, ku, snap_a[k], mats[k][:rows], pivots[k],
-                        snap_b[k], rhs[k], max_iter=vp.max_refine)
+            res = gbrfs(op.n, op.kl, op.ku, self.snap_a[k],
+                        op.mats[k][:self.rows], op.pivots[k], self.snap_b[k],
+                        op.rhs[k], max_iter=self.vp.max_refine)
             refined.append(k)
-            report.berr_max = max(report.berr_max,
-                                  _finite_max(res.berr))
+            report.berr_max = max(report.berr_max, _finite_max(res.berr))
         if refined:
-            report.refined = tuple(
-                sorted(set(report.refined) | set(refined)))
-            if anorms1 is None:
-                anorms1 = [band_norm_1(snap_a[k], n, kl, ku)
-                           for k in range(batch)]
-            eps = float(np.finfo(snap_a.dtype).eps)
+            report.refined = tuple(sorted(set(report.refined) | set(refined)))
+            eps = float(np.finfo(self.snap_a.dtype).eps)
             for k in refined:
-                rc = _rcond_of(n, kl, ku, mats[k][:rows], pivots[k],
-                               anorms1[k])
+                rc = self.rcond(k)
                 report.rcond_min = (rc if report.rcond_min is None
                                     else min(report.rcond_min, rc))
                 if report.berr_max > 0:
                     report.ferr_max = max(
                         report.ferr_max, report.berr_max / max(rc, eps))
-        still = reverify(still)
-
-    recovered = [k for k in failing
-                 if k not in still and info[k] == 0]
-    report.sdc_recovered = tuple(
-        sorted(set(report.sdc_recovered) | set(recovered)))
-    if still:
-        if anorms1 is None:
-            anorms1 = {k: band_norm_1(snap_a[k], n, kl, ku) for k in still}
-        rconds = {k: _rcond_of(n, kl, ku, mats[k][:rows], pivots[k],
-                               anorms1[k]) for k in still}
-        rmin = min(rconds.values())
-        report.rcond_min = (rmin if report.rcond_min is None
-                            else min(report.rcond_min, rmin))
-        _classify(report, vp, "gbsv", device, still, residuals, growth,
-                  rconds, floor)
-    return pivots, info, report
+        return self.reverify(still, residuals)
 
 
-def verified_gbtrf_batch(m, n, kl, ku, a_array, pv_array=None, info=None,
-                         *, batch=None, verify=True,
-                         device: DeviceSpec = H100_PCIE, stream=None,
-                         method: str = "auto", nb=None, threads=None,
-                         execute: bool = True, max_blocks=None,
-                         vectorize=None, resilient: bool = False,
-                         policy=None, max_resident_bytes=None,
-                         chunk_hint=None, streams=None, devices=None,
-                         overlap=None, layout=None):
-    """:func:`~repro.core.gbtrf.gbtrf_batch` behind the factor probe.
+class ReplayGate(Gate):
+    """``gbtrs`` gate: without the original ``A``, the residual is checked
+    against the reconstructed operator — ``P L U x`` (from pristine factor
+    snapshots) must reproduce the pristine ``b``.  With digests enabled the
+    read-only factors and pivots are also fingerprinted before the stage
+    and re-verified after it; a mismatch restores the snapshot."""
 
-    With no right-hand side to check, the factors are verified directly:
-    ``P L U`` (reconstructed by :func:`plu_apply_batch`) applied to a
-    deterministic probe vector must reproduce ``A`` applied to the same
-    vector to within the residual tolerance.  Returns ``(pivots, info,
-    report)``.
-    """
-    vp = as_verify_policy(verify) or VerifyPolicy()
-    check_arg(execute and max_blocks is None, 15, _VERIFY_EXEC_MSG)
-    check_arg(m == n, 1,
-              f"verify requires square matrices, got m={m}, n={n}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(m, n, kl, ku, mats, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, min(m, n), arg_pos=7, zero=True)
-    info = ensure_info(info, batch, arg_pos=8)
-    rows = ldab_for_factor(kl, ku)
-    active = batch > 0 and n > 0
-    if active:
-        snap_a = _snap_rows(a_array, mats, rows)
-
-    from .gbtrf import gbtrf_batch
-    kwargs = dict(batch=batch, device=device, stream=stream, method=method,
-                  nb=nb, threads=threads, vectorize=vectorize,
-                  max_resident_bytes=max_resident_bytes,
-                  chunk_hint=chunk_hint, streams=streams, devices=devices,
-                  overlap=overlap, layout=layout)
-    if resilient:
-        _, _, report = gbtrf_batch(m, n, kl, ku, mats, pivots, info,
-                                   resilient=True, policy=policy, **kwargs)
-    else:
-        gbtrf_batch(m, n, kl, ku, mats, pivots, info, **kwargs)
-        report = _base_report("gbtrf", batch, method, info, None)
-    report.verify_mode = vp.mode
-    if not active:
-        return pivots, info, report
-
-    tol = vp.tol_for(n, snap_a.dtype)
-    floor = vp.floor_for(n, snap_a.dtype)
-    # Deterministic probe (gbcon's alternating ramp): exercises every
-    # column with O(1) dynamic range, so a flipped element anywhere in
-    # the factors perturbs the probe image proportionally.
-    w = np.array([(-1.0) ** i * (1.0 + i / max(n - 1, 1))
-                  for i in range(n)])[:, None]
-    w3 = np.broadcast_to(w, (batch, n, 1))
-    wmax = float(np.abs(w).max())
-
-    def probe_scaled(ks):
-        """Scaled probe residuals ``|PLU w - A w|`` for the given lanes."""
-        idx = list(ks)
-        if len(idx) == batch:       # the common all-lanes gate
-            f3 = _lane_rows_view(a_array, mats, rows)
-            p2 = np.asarray(pivots) if isinstance(pivots, np.ndarray) \
-                else np.stack([np.asarray(p) for p in pivots])
-        else:
-            f3 = np.stack([np.asarray(mats[k])[:rows] for k in idx])
-            p2 = np.stack([np.asarray(pivots[k]) for k in idx])
-        got = plu_apply_batch(f3, p2, w3[:len(idx)], n, kl, ku)
-        ref = band_mv_batch(snap_a[idx], w3[:len(idx)], n, kl, ku)
-        unorms = factor_norms_inf(f3, n, kl, ku)
-        anorms = band_norms_inf(snap_a[idx], n, kl, ku)
-        num = np.abs(got - ref).reshape(len(idx), -1).max(axis=1)
-        denom = ((1.0 + kl) * unorms + anorms) * wmax
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(denom > 0, num / denom, num)
-
-    skip = set(report.unrecovered)
-    eligible = [k for k in range(batch) if info[k] == 0 and k not in skip]
-    report.verified_lanes += len(eligible)
-    scaled = np.zeros(batch)
-    if eligible:
-        scaled_el = probe_scaled(eligible)
-        for j, k in enumerate(eligible):
-            scaled[k] = scaled_el[j]
-    fact3 = _lane_rows_view(a_array, mats, rows)
-    growth = pivot_growth_batch(fact3, snap_a, kl, ku)
-    report.residual_max = max(report.residual_max,
-                              _finite_max(scaled, [k in eligible
-                                                   for k in range(batch)]))
-    report.growth_max = max(report.growth_max,
-                            _finite_max(growth, [k in eligible
-                                                 for k in range(batch)]))
-    anorms1 = None
-    if vp.condition_enabled:
-        anorms1 = [band_norm_1(snap_a[k], n, kl, ku) for k in range(batch)]
-        _stamp_condition(report, vp, n, kl, ku, mats, pivots, anorms1,
-                         info, rows)
-
-    failing = _failing(scaled, tol, eligible)
-    if not failing:
-        return pivots, info, report
-    report.sdc_detected = tuple(
-        sorted(set(report.sdc_detected) | set(failing)))
-    residuals = {k: float(scaled[k]) for k in failing}
-
-    def restore(ks):
-        for k in ks:
-            mats[k][:rows] = snap_a[k]
-            pivots[k][...] = 0
-
-    def reverify(ks):
-        live = [k for k in ks if info[k] == 0]
-        if not live:
-            return []
-        s = probe_scaled(live)
-        still = []
-        for j, k in enumerate(live):
-            residuals[k] = float(s[j])
-            if not np.isfinite(s[j]) or s[j] > tol:
-                still.append(k)
-        return still
-
-    # Rung 1: exact recompute through the driver.
-    restore(failing)
-    sub_info = np.zeros(len(failing), dtype=np.int64)
-    gbtrf_batch(m, n, kl, ku, [mats[k] for k in failing],
-                [pivots[k] for k in failing], sub_info,
-                batch=len(failing), device=device, stream=stream,
-                method=method, vectorize=None)
-    report.recomputes += len(failing)
-    for j, k in enumerate(failing):
-        info[k] = sub_info[j]
-    still = reverify(failing)
-
-    # Rung 2: host reference net.
-    if still:
-        restore(still)
-        for k in still:
-            _, inf = gbtf2(m, n, kl, ku, mats[k], pivots[k])
-            info[k] = int(inf)
-        report.recomputes += len(still)
-        still = reverify(still)
-
-    recovered = [k for k in failing if k not in still and info[k] == 0]
-    report.sdc_recovered = tuple(
-        sorted(set(report.sdc_recovered) | set(recovered)))
-    if still:
-        if anorms1 is None:
-            anorms1 = {k: band_norm_1(snap_a[k], n, kl, ku) for k in still}
-        rconds = {k: _rcond_of(n, kl, ku, mats[k][:rows], pivots[k],
-                               anorms1[k]) for k in still}
-        rmin = min(rconds.values())
-        report.rcond_min = (rmin if report.rcond_min is None
-                            else min(report.rcond_min, rmin))
-        _classify(report, vp, "gbtrf", device, still, residuals, growth,
-                  rconds, floor)
-    return pivots, info, report
-
-
-def verified_gbtrs_batch(trans, n, kl, ku, nrhs, a_array, pv_array,
-                         b_array, info=None, *, batch=None, verify=True,
-                         device: DeviceSpec = H100_PCIE, stream=None,
-                         method: str = "auto", nb=None, threads=None,
-                         rhs_tile=None, execute: bool = True,
-                         max_blocks=None, vectorize=None,
-                         resilient: bool = False, policy=None,
-                         max_resident_bytes=None, chunk_hint=None,
-                         streams=None, devices=None, overlap=None,
-                         layout=None):
-    """:func:`~repro.core.gbtrs.gbtrs_batch` behind the residual gate.
-
-    Without the original ``A``, the residual is checked against the
-    reconstructed operator: ``P L U x`` (from pristine factor snapshots)
-    must reproduce the pristine ``b``.  In ``'full'`` mode (or with
-    ``check_digests=True``) the read-only factors and pivots are also
-    fingerprinted before the stage and re-verified after it; a mismatch
-    restores the snapshot and is attributed in
-    ``BatchReport.digest_mismatches``.  Returns ``(info, report)``.
-    """
-    vp = as_verify_policy(verify) or VerifyPolicy()
-    trans = Trans.from_any(trans)
-    check_arg(execute and max_blocks is None, 15, _VERIFY_EXEC_MSG)
-    check_arg(trans is Trans.NO_TRANS, 1,
-              "verify supports trans='N' solves (the reconstruction "
-              "replays forward elimination); use verify=None for "
-              "transposed solves")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=6)
-    check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
-    info = ensure_info(info, batch, arg_pos=11)
-    rows = ldab_for_factor(kl, ku)
-    active = batch > 0 and n > 0 and nrhs > 0
-    if active:
-        snap_a = _snap_rows(a_array, mats, rows)
-        snap_p = (np.array(pivots) if isinstance(pivots, np.ndarray)
-                  else np.stack([np.asarray(p) for p in pivots]))
-        snap_b = _snap_lanes(b_array, rhs)
-        digests = None
+    def __init__(self, op, vp: VerifyPolicy):
+        super().__init__(op, vp)
+        self.snap_p = np.stack([np.asarray(p) for p in op.pivots])
+        self.snap_b = _snap_lanes(op.raw[1], op.rhs)
+        self.digests = None
         if vp.digests_enabled:
-            digests = [operand_digest(mats[k][:rows], pivots[k])
-                       for k in range(batch)]
+            self.digests = [operand_digest(op.mats[k][:self.rows],
+                                           op.pivots[k])
+                            for k in range(op.batch)]
 
-    from .gbtrs import gbtrs_batch
-    kwargs = dict(batch=batch, device=device, stream=stream, method=method,
-                  nb=nb, threads=threads, rhs_tile=rhs_tile,
-                  vectorize=vectorize,
-                  max_resident_bytes=max_resident_bytes,
-                  chunk_hint=chunk_hint, streams=streams, devices=devices,
-                  overlap=overlap, layout=layout)
-    if resilient:
-        _, report = gbtrs_batch(trans, n, kl, ku, nrhs, mats, pivots, rhs,
-                                info, resilient=True, policy=policy,
-                                **kwargs)
-    else:
-        gbtrs_batch(trans, n, kl, ku, nrhs, mats, pivots, rhs, info,
-                    **kwargs)
-        report = _base_report("gbtrs", batch, method, info, None)
-    report.verify_mode = vp.mode
-    if not active:
-        return info, report
-
-    # Digest re-verification of the read-only operands.
-    if vp.digests_enabled and digests is not None:
-        mismatched = [k for k in range(batch)
-                      if operand_digest(mats[k][:rows], pivots[k])
-                      != digests[k]]
+    def check_digests(self, report) -> None:
+        """Digest re-verification of the read-only operands."""
+        if self.digests is None:
+            return
+        op = self.op
+        mismatched = [k for k in range(op.batch)
+                      if operand_digest(op.mats[k][:self.rows], op.pivots[k])
+                      != self.digests[k]]
         if mismatched:
             report.digest_mismatches = tuple(
                 sorted(set(report.digest_mismatches) | set(mismatched)))
             report.sdc_detected = tuple(
                 sorted(set(report.sdc_detected) | set(mismatched)))
-            for k in mismatched:
-                if mats[k].flags.writeable:
-                    mats[k][:rows] = snap_a[k]
-                if pivots[k].flags.writeable:
-                    pivots[k][...] = snap_p[k]
+            self._restore_factors(mismatched)
 
-    tol = vp.tol_for(n, snap_a.dtype)
-    floor = vp.floor_for(n, snap_a.dtype)
-    x3 = _snap_lanes(b_array, rhs)
-    got = plu_apply_batch(snap_a, snap_p, x3, n, kl, ku)
-    unorms = factor_norms_inf(snap_a, n, kl, ku)
-    rmax = np.abs(got - snap_b).reshape(batch, -1).max(axis=1)
-    xmax = np.abs(x3).reshape(batch, -1).max(axis=1)
-    bmax = np.abs(snap_b).reshape(batch, -1).max(axis=1)
-    denom = (1.0 + kl) * unorms * xmax + bmax
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(denom > 0, rmax / denom, rmax)
+    def _scaled(self, idx, x) -> np.ndarray:
+        op = self.op
+        g = plu_apply_batch(self.snap_a[idx], self.snap_p[idx], x, op.n,
+                            op.kl, op.ku)
+        return _ratio(_lane_absmax(g - self.snap_b[idx]),
+                      (1.0 + op.kl) * self.unorms[idx] * _lane_absmax(x)
+                      + self.bmax[idx])
 
-    skip = set(report.unrecovered)
-    eligible = [k for k in range(batch) if k not in skip]
-    report.verified_lanes += len(eligible)
-    report.residual_max = max(report.residual_max,
-                              _finite_max(scaled, [k in eligible
-                                                   for k in range(batch)]))
+    def residuals(self, eligible) -> np.ndarray:
+        op = self.op
+        self.unorms = factor_norms_inf(self.snap_a, op.n, op.kl, op.ku)
+        self.bmax = _lane_absmax(self.snap_b)
+        return self._scaled(slice(None), _snap_lanes(op.raw[1], op.rhs))
 
-    failing = _failing(scaled, tol, eligible)
-    # Digest-only mismatches (result fine, operand corrupted in flight)
-    # were already repaired above; residual failures escalate below.
-    if not failing:
-        return info, report
-    report.sdc_detected = tuple(
-        sorted(set(report.sdc_detected) | set(failing)))
-    residuals = {k: float(scaled[k]) for k in failing}
-
-    def restore(ks):
+    def _restore_factors(self, ks) -> None:
         # Read-only factor/pivot operands (e.g. the serve layer's cached
         # factorizations) cannot have been corrupted in place — any
         # in-place write would have raised — so only writable ones are
         # rewound.
+        op = self.op
         for k in ks:
-            if mats[k].flags.writeable:
-                mats[k][:rows] = snap_a[k]
-            if pivots[k].flags.writeable:
-                pivots[k][...] = snap_p[k]
-            rhs[k][...] = snap_b[k]
+            if op.mats[k].flags.writeable:
+                op.mats[k][:self.rows] = self.snap_a[k]
+            if op.pivots[k].flags.writeable:
+                op.pivots[k][...] = self.snap_p[k]
 
-    def reverify(ks):
+    def restore(self, ks) -> None:
+        self._restore_factors(ks)
+        for k in ks:
+            self.op.rhs[k][...] = self.snap_b[k]
+
+    def reverify(self, ks, residuals) -> list:
         if not ks:
             return []
         idx = list(ks)
-        x = np.stack([np.asarray(rhs[k]) for k in idx])
-        g = plu_apply_batch(snap_a[idx], snap_p[idx], x, n, kl, ku)
-        num = np.abs(g - snap_b[idx]).reshape(len(idx), -1).max(axis=1)
-        xm = np.abs(x).reshape(len(idx), -1).max(axis=1)
-        den = (1.0 + kl) * unorms[idx] * xm + bmax[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(den > 0, num / den, num)
-        still = []
-        for j, k in enumerate(idx):
-            residuals[k] = float(s[j])
-            if not np.isfinite(s[j]) or s[j] > tol:
-                still.append(k)
-        return still
+        x = np.stack([np.asarray(self.op.rhs[k]) for k in idx])
+        return _still_failing(idx, self._scaled(idx, x), self.tol, residuals)
 
-    # Rung 1: exact recompute through the driver.
-    restore(failing)
-    sub_info = np.zeros(len(failing), dtype=np.int64)
-    gbtrs_batch(trans, n, kl, ku, nrhs, [mats[k] for k in failing],
-                [pivots[k] for k in failing], [rhs[k] for k in failing],
-                sub_info, batch=len(failing), device=device, stream=stream,
-                method=method, vectorize=None)
-    report.recomputes += len(failing)
-    still = reverify(failing)
-
-    # Rung 2: host reference net.
-    if still:
-        restore(still)
-        for k in still:
-            gbtrs_unblocked(trans, n, kl, ku, mats[k], pivots[k], rhs[k])
-        report.recomputes += len(still)
-        still = reverify(still)
-
-    recovered = [k for k in failing if k not in still]
-    report.sdc_recovered = tuple(
-        sorted(set(report.sdc_recovered) | set(recovered)))
-    if still:
+    def rcond(self, k: int) -> float:
         # No original A here: bound ||A||_1 by (1+kl)·||U||_1 (unit
         # multipliers) for the condition classification.
-        growth = np.full(batch, 0.0)
-        rconds = {}
-        for k in still:
-            anorm1 = (1.0 + kl) * band_norm_1(snap_a[k], n, 0, kl + ku,
-                                              factor_layout=False)
-            rconds[k] = _rcond_of(n, kl, ku, snap_a[k], snap_p[k], anorm1)
-        rmin = min(rconds.values())
-        report.rcond_min = (rmin if report.rcond_min is None
-                            else min(report.rcond_min, rmin))
-        _classify(report, vp, "gbtrs", device, still, residuals, growth,
-                  rconds, floor)
-    return info, report
+        op = self.op
+        anorm1 = (1.0 + op.kl) * band_norm_1(self.snap_a[k], op.n, 0,
+                                             op.kl + op.ku,
+                                             factor_layout=False)
+        return _rcond_of(op.n, op.kl, op.ku, self.snap_a[k], self.snap_p[k],
+                         anorm1)
+
+
+def _still_failing(idx, scaled, tol, residuals) -> list:
+    """Record the re-verified residuals; return the lanes still failing."""
+    residuals.update((k, float(v)) for k, v in zip(idx, scaled))
+    return [k for k, v in zip(idx, scaled) if _fails(v, tol)]

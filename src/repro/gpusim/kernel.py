@@ -38,9 +38,14 @@ _pending_convert_bytes = 0
 
 
 def note_layout_conversion(nbytes: int) -> None:
-    """Register layout-conversion traffic for the next launch record."""
+    """Register layout-conversion traffic for the next launch record.
+
+    A negative count withdraws traffic noted by a call that raised before
+    launching; the pending total never drops below zero (a launch may
+    already have absorbed it).
+    """
     global _pending_convert_bytes
-    _pending_convert_bytes += int(nbytes)
+    _pending_convert_bytes = max(0, _pending_convert_bytes + int(nbytes))
 
 
 class SharedMemory:

@@ -18,7 +18,6 @@ drivers.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -26,9 +25,10 @@ import numpy as np
 
 from ..errors import DeviceMemoryError, check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
+from ..core.verify import operand_digest as core_digest
 from ..gpusim.memory import memory_pool
 
-__all__ = ["operand_digest", "factor_digest", "CacheEntry", "FactorCache"]
+__all__ = ["operand_digest", "CacheEntry", "FactorCache"]
 
 #: Pool-ledger label every cache charge is taken under.
 CACHE_LABEL = "factor-cache"
@@ -40,31 +40,10 @@ def operand_digest(kl: int, ku: int, ab: np.ndarray) -> str:
     Covers the bandwidths, storage shape, dtype and every stored byte of
     ``ab`` (band rows only — the factor-layout fill-in rows count too,
     since the drivers read the full ``ldab`` window).  Two operators
-    collide only if they would factor identically.
+    collide only if they would factor identically.  Hashed by
+    :func:`repro.core.verify.operand_digest`.
     """
-    ab = np.ascontiguousarray(ab)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"{int(kl)}:{int(ku)}:{ab.shape}:{ab.dtype.str}".encode())
-    h.update(ab.tobytes())
-    return h.hexdigest()
-
-
-def factor_digest(factors: np.ndarray, pivots: np.ndarray) -> str:
-    """Content fingerprint of a cached factorization (blake2b-128).
-
-    Computed over the factors *and* pivots at insertion time and
-    re-checked by :meth:`CacheEntry.verify_integrity` before a verified
-    service reuses the entry — the staging-boundary digest of
-    :mod:`repro.core.verify` applied to the cache's resident payload, so
-    silent corruption of a cached factor is caught before it contaminates
-    every future hit.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    for a in (factors, pivots):
-        a = np.asarray(a)
-        h.update(f"{a.shape}:{a.dtype.str};".encode())
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
+    return core_digest(np.array([kl, ku], dtype=np.int64), ab)
 
 
 @dataclass
@@ -86,7 +65,7 @@ class CacheEntry:
         """True when the resident payload still matches its digest."""
         if not self.digest:
             return True
-        return factor_digest(self.factors, self.pivots) == self.digest
+        return core_digest(self.factors, self.pivots) == self.digest
 
 
 @dataclass
@@ -99,7 +78,7 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
     rejected: int = 0
-    #: Entries whose payload failed :func:`factor_digest` re-verification
+    #: Entries whose payload failed digest re-verification
     #: at reuse time (dropped and refactored by the verified service).
     digest_failures: int = 0
 
@@ -206,8 +185,7 @@ class FactorCache:
         pivots.setflags(write=False)
         self._entries[key] = CacheEntry(key, int(n), int(kl), int(ku),
                                         factors, pivots, nbytes,
-                                        digest=factor_digest(factors,
-                                                             pivots))
+                                        digest=core_digest(factors, pivots))
         self.stats.insertions += 1
         return True
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from ..core.batched import gbtrf_vbatch
 from ..core.gbtrs import gbtrs_batch
+from ..core.memory_plan import INFO_BYTES, POINTER_BYTES
 from ..errors import (
     DeviceMemoryError,
     RequestShedError,
@@ -56,11 +57,6 @@ from .cache import FactorCache, operand_digest
 from .report import ServiceReport
 
 __all__ = ["BatchingPolicy", "SolveHandle", "SolverService"]
-
-#: Device bytes of one ``info`` entry / one device pointer (mirrors
-#: :mod:`repro.core.memory_plan`).
-_INFO_BYTES = 8
-_POINTER_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,7 @@ class _Pending:
     def lane_bytes(self) -> int:
         """Resident device footprint of this request when dispatched."""
         return (self.ab.nbytes + self.n * 8 + self.b.nbytes
-                + _INFO_BYTES + 3 * _POINTER_BYTES)
+                + INFO_BYTES + 3 * POINTER_BYTES)
 
 
 class SolverService:
@@ -492,13 +488,18 @@ class SolverService:
             if self._pending:
                 self._flush_locked("manual")
 
-    def _driver_knobs(self) -> dict:
-        return dict(device=self.device, stream=self.stream,
-                    vectorize=self.vectorize,
-                    max_resident_bytes=self.max_resident_bytes,
-                    chunk_hint=self.chunk_hint, streams=self.streams,
-                    devices=self.devices, overlap=self.overlap,
-                    layout=self.layout)
+    def _driver_knobs(self, verified: bool) -> dict:
+        knobs = dict(device=self.device, stream=self.stream,
+                     vectorize=self.vectorize,
+                     max_resident_bytes=self.max_resident_bytes,
+                     chunk_hint=self.chunk_hint, streams=self.streams,
+                     devices=self.devices, overlap=self.overlap,
+                     layout=self.layout)
+        if self.resilient:
+            knobs.update(resilient=True, policy=self.resilience_policy)
+        if verified:
+            knobs.update(verify=self.verify)
+        return knobs
 
     def _absorb_batch_report(self, rep) -> None:
         self._report.batch_reports.append(rep.to_dict())
@@ -629,19 +630,11 @@ class SolverService:
             dims = ([r.n for r in rep_list], [r.kl for r in rep_list],
                     [r.ku for r in rep_list])
             mats = [r.ab for r in rep_list]
-            kwargs = self._driver_knobs()
-            if self.resilient:
-                kwargs.update(resilient=True,
-                              policy=self.resilience_policy)
-            if verified:
-                kwargs.update(verify=self.verify)
+            out = gbtrf_vbatch(dims[0], *dims, mats,
+                               **self._driver_knobs(verified))
+            pivots, finfo = out[:2]
             if self.resilient or verified:
-                pivots, finfo, brep = gbtrf_vbatch(dims[0], *dims, mats,
-                                                   **kwargs)
-                self._absorb_batch_report(brep)
-            else:
-                pivots, finfo = gbtrf_vbatch(dims[0], *dims, mats,
-                                             **kwargs)
+                self._absorb_batch_report(out[2])
             self._report.factorizations += len(rep_list)
             for j, r in enumerate(rep_list):
                 r.factors, r.pivots = r.ab, np.asarray(pivots[j])
@@ -673,20 +666,11 @@ class SolverService:
                 mats.append(f)
                 pivs.append(req.pivots)
                 rhs.append(req.b)
-            kwargs = self._driver_knobs()
-            if self.resilient:
-                kwargs.update(resilient=True,
-                              policy=self.resilience_policy)
-            if verified:
-                kwargs.update(verify=self.verify)
+            out = gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, mats, pivs,
+                              rhs, batch=len(reqs),
+                              **self._driver_knobs(verified))
             if self.resilient or verified:
-                _, brep = gbtrs_batch(
-                    Trans.NO_TRANS, n, kl, ku, nrhs, mats, pivs, rhs,
-                    batch=len(reqs), **kwargs)
-                self._absorb_batch_report(brep)
-            else:
-                gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, mats, pivs,
-                            rhs, batch=len(reqs), **kwargs)
+                self._absorb_batch_report(out[1])
             self._report.dispatch_groups += 1
             self._report.group_sizes[len(reqs)] = (
                 self._report.group_sizes.get(len(reqs), 0) + 1)

@@ -53,7 +53,7 @@ from repro.core.batch_args import (
     soa_stageable,
     stack_view,
 )
-from repro.errors import ArgumentError
+from repro.errors import ArgumentError, DeviceMemoryError
 from repro.gpusim import H100_PCIE, Stream
 from repro.gpusim.faults import FaultPlan, fault_injection
 
@@ -416,6 +416,28 @@ class TestLayoutKnob:
 # ---------------------------------------------------------------------------
 # Fault storm: the SoA route under the resilience layer
 # ---------------------------------------------------------------------------
+
+
+def test_failed_call_leaves_no_conversion_bytes_behind():
+    """A call that notes its layout round-trip and then raises must not
+    charge that traffic to the next, unrelated launch: an argument error
+    caught after staging, a resilient call without functional execution,
+    and an admission failure below the layout step."""
+    a = random_band_batch(8, 64, 2, 2, seed=61)
+    b = random_rhs(64, 1, batch=8, seed=62)
+    failing = [
+        (ArgumentError, dict(nrhs=-1)),
+        (ArgumentError, dict(nrhs=1, resilient=True, execute=False)),
+        (DeviceMemoryError, dict(nrhs=1, max_resident_bytes=1)),
+    ]
+    for error, kw in failing:
+        nrhs = kw.pop("nrhs")
+        with pytest.raises(error):
+            gbsv_batch(64, 2, 2, nrhs, a.copy(), None, b.copy(),
+                       layout="soa", **kw)
+        stream = Stream(H100_PCIE)
+        gbtrf_batch(64, 64, 2, 2, a.copy(), stream=stream)
+        assert _launches(stream)[0].soa_bytes == 0
 
 
 class TestSoaUnderStorm:
