@@ -8,16 +8,20 @@ cannot assume that.  This module makes every batched driver OOM-safe:
   :class:`~repro.gpusim.memory.MemoryPool` budget (optionally tightened by
   ``max_resident_bytes``), and decides how many lanes fit at once;
 * the governance layer (:func:`governed`, one step of the execution chain
-  every batched driver runs through) leases each chunk's footprint
-  from the pool, stream it upload -> solve -> download, and release the
-  lease so the next chunk reuses the same residency — an oversized batch
-  completes bit-identically to an unchunked run because every lane's
-  result is independent of sub-batch composition (the same contract the
-  resilient quarantine path relies on);
+  every batched driver runs through) plans and admits the call, then
+  hands it to the one chunk executor in :mod:`repro.core.pipeline`: a
+  sequential call runs as a single shard (one buffer, the caller's device
+  and stream), a ``streams``/``devices``/``overlap`` call through the
+  pipelined executor.  Each chunk's footprint is leased from the pool,
+  streamed upload -> solve -> download and released, so the next chunk
+  reuses the same residency — an oversized batch completes
+  bit-identically to an unchunked run because every lane's result is
+  independent of sub-batch composition (the same contract the resilient
+  quarantine path relies on);
 * a mid-run :class:`~repro.errors.DeviceMemoryError` — injected by the
-  fault harness or raised by a genuinely exhausted pool — walks a
-  degradation ladder under ``resilient=True``: halve the chunk size with
-  the policy's capped backoff, degrade to per-lane execution
+  fault harness or raised by a genuinely exhausted pool — walks the
+  executor's degradation ladder under ``resilient=True``: halve the chunk
+  size with the policy's capped backoff, degrade to per-lane execution
   (``chunk=1``), and finally finish the remaining lanes on the host
   reference algorithm.  Every decision lands in
   :attr:`~repro.core.resilience.BatchReport.chunk_events`.
@@ -43,21 +47,9 @@ import numpy as np
 from ..band.layout import ldab_for_factor
 from ..errors import DeviceMemoryError, check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.faults import active_injector
 from ..gpusim.memory import memory_pool
-from ..gpusim.transfer import stage_chunk
-from .pipeline import (
-    _lane_window,
-    _oom_event,
-    execute_pipelined,
-    pipeline_requested,
-)
-from .resilience import (
-    HOST_FALLBACK,
-    BatchReport,
-    ResiliencePolicy,
-    merge_reports,
-)
+from .pipeline import _run_shard, execute_pipelined, pipeline_requested
+from .resilience import HOST_FALLBACK, BatchReport, merge_reports
 
 __all__ = [
     "MemoryPlan",
@@ -208,82 +200,6 @@ def plan_batch(batch: int, lane_bytes: int, *,
                       admitted=footprint <= budget)
 
 
-# --- chunked execution -----------------------------------------------------
-
-def _execute_governed(op: str, batch: int, plan: MemoryPlan,
-                      device: DeviceSpec, stream, resilient: bool,
-                      policy: ResiliencePolicy | None, run_chunk,
-                      run_host):
-    """Run the batch in leased chunks with the OOM degradation ladder.
-
-    ``run_chunk(start, stop)`` executes lanes ``[start, stop)`` through
-    the layers below governance and returns the chunk's
-    :class:`BatchReport` when resilient, else None.  ``run_host(start,
-    stop)`` finishes lanes on the host net.  Returns ``(parts, chunks,
-    oom, events, backoff)``.
-    """
-    pool = memory_pool(device)
-    injector = active_injector(device)
-    policy = policy or ResiliencePolicy()
-    parts, chunks, events = [], [], []
-    oom = 0
-    backoff_total = 0.0
-    chunk = plan.chunk
-    if plan.chunked or not plan.admitted:
-        events.append({"action": "split", "chunk": int(chunk),
-                       "footprint": int(plan.footprint),
-                       "budget": int(plan.budget)})
-    start = 0
-    attempt = 0
-    while start < batch:
-        stop = min(start + chunk, batch)
-        nbytes = (stop - start) * plan.lane_bytes
-        try:
-            # The lease honours the planned budget, not just the pool: a
-            # caller-imposed max_resident_bytes below one lane must reach
-            # the ladder's host rung, not silently run on the device.
-            if nbytes > plan.budget:
-                raise DeviceMemoryError(nbytes, pool.in_use, plan.budget,
-                                        device=device.name)
-            pool.alloc(nbytes, label=f"{op}-chunk")
-        except DeviceMemoryError as exc:
-            if not resilient:
-                raise
-            oom += 1
-            if chunk > 1:
-                attempt += 1
-                delay = policy.backoff(attempt)
-                backoff_total += delay
-                new_chunk = max(1, chunk // 2)
-                events.append(_oom_event(
-                    "halve", exc, {"from": int(chunk), "to": int(new_chunk)}))
-                chunk = new_chunk
-                continue
-            # Final rung: even one lane cannot be leased — finish every
-            # remaining lane on the host reference algorithm.
-            events.append(_oom_event(
-                "host", exc, {"start": int(start), "stop": int(batch)}))
-            rep = run_host(start, batch)
-            if rep is not None:
-                parts.append((list(range(start, batch)), rep))
-            break
-        staged = (stop - start) < batch
-        try:
-            if staged:
-                stage_chunk(device, nbytes, direction="h2d", stream=stream)
-            with _lane_window(injector, start):
-                rep = run_chunk(start, stop)
-            if staged:
-                stage_chunk(device, nbytes, direction="d2h", stream=stream)
-        finally:
-            pool.free(nbytes)
-        if rep is not None:
-            parts.append((list(range(start, stop)), rep))
-        chunks.append(stop - start)
-        start = stop
-    return parts, tuple(chunks), oom, events, backoff_total
-
-
 def _admit_or_raise(plan: MemoryPlan, resilient: bool,
                     device: DeviceSpec) -> None:
     """Admission control for the plain (non-resilient) path.
@@ -304,10 +220,12 @@ def governed(op, opts, below):
     """Governance layer of the execution chain (:mod:`repro.core.chain`).
 
     Plans the call's footprint against the device pool, then leases and
-    runs it in chunks — sequentially, or through the pipelined executor
-    when ``streams``/``devices``/``overlap`` ask for it — each chunk
-    handed to ``below`` as a lane subset of ``op``.  Passes straight
-    through when governance does not apply (:func:`governance_active`).
+    runs it in chunks through :func:`~repro.core.pipeline._run_shard` —
+    as one shard on the caller's device and stream, or through the
+    pipelined executor when ``streams``/``devices``/``overlap`` ask for
+    it — each chunk handed to ``below`` as a lane subset of ``op``.
+    Passes straight through when governance does not apply
+    (:func:`governance_active`).
     Returns the merged report when resilient, else ``None``.
     """
     if not governance_active(execute=opts.execute,
@@ -317,7 +235,7 @@ def governed(op, opts, below):
         return (BatchReport(op.name, op.batch, method_requested=opts.method,
                             info=op.info) if opts.resilient else None)
 
-    def run_chunk(start, stop, device=opts.device, stream=opts.stream):
+    def run_chunk(start, stop, device, stream):
         return below(op.lanes(start, stop),
                      opts.replace(device=device, stream=stream))
 
@@ -338,41 +256,28 @@ def governed(op, opts, below):
 
     if pipeline_requested(streams=opts.streams, devices=opts.devices,
                           overlap=opts.overlap):
-        # ``snapshot``/``restore`` let the pipelined executor recover chunks
-        # orphaned by a device outage or watchdog hang, and hedge
-        # stragglers.
-        parts, chunks, oom, events, backoff, plan, presult = \
-            execute_pipelined(
-                op.name, op.batch, op.lane_bytes, device=opts.device,
-                stream=opts.stream, streams=opts.streams,
-                devices=opts.devices, overlap=opts.overlap,
-                resilient=opts.resilient, policy=opts.policy,
-                run_chunk=run_chunk, run_host=run_host,
-                max_resident_bytes=opts.max_resident_bytes,
-                chunk_hint=opts.chunk_hint,
-                probe_stages=lambda dev: op.probe_stages(dev, opts.method),
-                snapshot=op.snapshot, restore=op.restore)
+        out = execute_pipelined(op, opts, run_chunk, run_host)
     else:
+        # One shard: one buffer on the caller's device and stream.
         plan = plan_batch(op.batch, op.lane_bytes, device=opts.device,
                           max_resident_bytes=opts.max_resident_bytes,
                           chunk_hint=opts.chunk_hint)
         _admit_or_raise(plan, opts.resilient, opts.device)
-        parts, chunks, oom, events, backoff = _execute_governed(
-            op.name, op.batch, plan, opts.device, opts.stream,
-            opts.resilient, opts.policy, run_chunk, run_host)
-        presult = None
+        out = _run_shard(op, opts, opts.device, [(0, op.batch)], plan, 1,
+                         (opts.stream,) * 3, run_chunk, run_host)
     if not opts.resilient:
         return None
-    report = (merge_reports(op.name, op.batch, parts) if parts
+    report = (merge_reports(op.name, op.batch, out.parts) if out.parts
               else BatchReport(op.name, op.batch))
     report.method_requested = opts.method
     report.info = op.info
-    report.footprint_bytes = plan.footprint
-    report.budget_bytes = plan.budget
-    report.chunks = tuple(chunks)
-    report.oom_failures += oom
-    report.chunk_events.extend(events)
-    report.backoff_total += backoff
+    report.footprint_bytes = out.plan.footprint
+    report.budget_bytes = out.plan.budget
+    report.chunks = tuple(out.chunks)
+    report.oom_failures += out.oom
+    report.chunk_events.extend(out.events)
+    report.backoff_total += out.backoff
+    presult = out.result
     if presult is not None:
         report.devices = presult.devices
         report.makespan = presult.makespan

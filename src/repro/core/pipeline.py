@@ -1,11 +1,13 @@
-"""Pipelined multi-stream, multi-device batch execution.
+"""The chunk executor: one shard loop for sequential and pipelined runs.
 
 The paper's batched API takes a stream argument precisely so host staging
-and device compute can overlap (paper Section 4); the chunked executor of
-:mod:`repro.core.memory_plan` gave us OOM-safe chunking but ran the chunks
-strictly sequentially — lease, upload, solve, download, release — on one
-device.  This module drives the *same* chunk protocol through a
-double-buffered pipeline:
+and device compute can overlap (paper Section 4).  Every governed call
+(:func:`repro.core.memory_plan.governed`) runs its chunks through one
+loop, :func:`_run_shard` — lease, upload, solve, download, release — and
+one chunk dispatch.  A sequential call is a single shard: one buffer, one
+device, the caller's stream as all three of its streams.  The pipelined
+executor (:func:`execute_pipelined`, asked for by ``streams``/``devices``/
+``overlap``) drives the *same* loop through a double-buffered pipeline:
 
 * each device shard runs up to three streams — an **h2d copy stream**, a
   **compute stream** and a **d2h copy stream** — with cross-stream events
@@ -79,7 +81,7 @@ from ..gpusim.multidevice import (
 )
 from ..gpusim.stream import Stream
 from ..gpusim.transfer import TransferRecord, stage_chunk
-from .resilience import escalate_device_faults
+from .resilience import ResiliencePolicy, escalate_device_faults
 
 __all__ = ["PipelineResult", "pipeline_requested", "execute_pipelined",
            "last_pipeline_result"]
@@ -214,19 +216,11 @@ def last_pipeline_result() -> PipelineResult | None:
     return _LAST
 
 
-def _oom_event(action: str, exc, fields: dict, device=None) -> dict:
+def _oom_event(action: str, exc, fields: dict, device: str) -> dict:
     """One OOM-ladder decision for ``BatchReport.chunk_events``."""
-    event = {"action": action, **fields, "requested": int(exc.requested),
-             "budget": int(exc.capacity), "injected": bool(exc.injected)}
-    if device is not None:
-        event["device"] = device
-    return event
-
-
-def _lane_window(injector, start: int):
-    """The injector's lane window at global lane ``start`` (a no-op scope
-    when no fault plan is armed)."""
-    return nullcontext() if injector is None else injector.lane_window(start)
+    return {"action": action, **fields, "requested": int(exc.requested),
+            "budget": int(exc.capacity), "injected": bool(exc.injected),
+            "device": device}
 
 
 def _resolve_devices(device: DeviceSpec, devices) -> list[DeviceSpec]:
@@ -301,10 +295,11 @@ def _take_lanes(ranges: list, count: int) -> list:
 
 
 class _ShardOutcome:
-    """Everything one shard worker produced — or left behind."""
+    """Everything one shard worker (or, merged, one call) produced — or
+    left behind."""
 
     __slots__ = ("parts", "chunks", "oom", "events", "backoff", "shard",
-                 "spans", "orphans", "failure")
+                 "spans", "orphans", "failure", "plan", "result")
 
     def __init__(self):
         self.parts = []      # (lane_list, BatchReport) pairs
@@ -316,21 +311,81 @@ class _ShardOutcome:
         self.spans = []      # per-chunk dispatch spans (hedging input)
         self.orphans = []    # lane ranges never started (device died)
         self.failure = None  # {"kind", "device", "start", "stop", ...}
+        self.plan = None     # MemoryPlan the chunks were sized by
+        self.result = None   # PipelineResult (pipelined runs only)
+
+    def absorb(self, other: "_ShardOutcome") -> None:
+        """Fold in a shard's parts, chunks and OOM-ladder account."""
+        self.parts.extend(other.parts)
+        self.chunks.extend(other.chunks)
+        self.oom += other.oom
+        self.events.extend(other.events)
+        self.backoff += other.backoff
 
 
-def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
-               run_chunk, run_host, *, watchdog=None, failover=False,
-               snapshot=None, restore=None, keep_snaps=False, role="full"):
-    """Run one shard's lane ranges through the double-buffered triple.
+def _follow(stream, other) -> None:
+    """Order ``stream``'s next record after ``other``'s tail (a no-op on
+    a single stream, or with no stream at all)."""
+    if stream is not other:
+        stream.wait_event(other.record_event())
 
-    Mirrors the sequential executor's OOM ladder with one extra rung in
-    front: an allocation failure first *drains* the pipeline (frees the
-    completed chunks' live buffers) and retries, because under double
-    buffering the squeeze may come from our own in-flight leases rather
-    than a genuinely too-large chunk.  Lane indices are global throughout
-    — ``run_chunk`` slices the caller's operand lists directly and the
-    fault injector's lane window is opened at the chunk's global start —
-    so results and fault placement cannot depend on the sharding.
+
+class _Dispatch:
+    """Chunk dispatch on one device's ``(h2d, compute, d2h)`` streams,
+    counting staged bytes as they move (a chunk may die mid-way)."""
+
+    def __init__(self, dev: DeviceSpec, streams: tuple, guard=nullcontext):
+        self.dev, self.streams, self.guard = dev, streams, guard
+        self.injector = active_injector(dev)
+        self.h2d_bytes = self.d2h_bytes = 0
+
+    def run(self, run_chunk, start: int, stop: int, nbytes: int,
+            staged: bool):
+        """Stage, run lanes ``[start, stop)`` inside the fault injector's
+        lane window at their global start, unstage; returns the report."""
+        s_h2d, s_cmp, s_d2h = self.streams
+        if staged:
+            stage_chunk(self.dev, nbytes, direction="h2d", stream=s_h2d)
+            self.h2d_bytes += nbytes
+            _follow(s_cmp, s_h2d)
+        window = (nullcontext() if self.injector is None
+                  else self.injector.lane_window(start))
+        with self.guard(), window:
+            rep = run_chunk(start, stop, self.dev, s_cmp)
+        if staged:
+            _follow(s_d2h, s_cmp)
+            stage_chunk(self.dev, nbytes, direction="d2h", stream=s_d2h)
+            self.d2h_bytes += nbytes
+        return rep
+
+    def shard(self, start: int, stop: int, role: str) -> ShardResult:
+        """The streams and traffic so far, as a :class:`ShardResult`."""
+        return ShardResult(partition=DevicePartition(self.dev, start, stop),
+                           streams=self.streams, h2d_bytes=self.h2d_bytes,
+                           d2h_bytes=self.d2h_bytes, role=role)
+
+
+def _run_shard(op, opts, dev, ranges, plan, nbuf, streams, run_chunk,
+               run_host, *, failover=False, hedging=False, role="full"):
+    """Run the lane ranges of descriptor ``op`` on ``dev`` in leased chunks.
+
+    The one chunk loop of every governed call.  A sequential call is one
+    shard over ``[(0, batch)]`` with one buffer and the caller's stream
+    as all three ``streams`` (which may be ``None``); the pipelined
+    executor runs one shard per device with fresh ``(h2d, compute, d2h)``
+    streams and up to ``nbuf`` chunk leases live at once.
+    ``run_chunk(start, stop, device, stream)`` runs lanes through the
+    layers below governance; ``run_host(start, stop)`` finishes them on
+    the host net.  Lane indices are global throughout, so results and
+    fault placement cannot depend on the sharding.
+
+    Under ``opts.resilient`` an allocation failure walks the OOM ladder:
+    first *drain* the pipeline (free the completed chunks' live buffers)
+    and retry, because under double buffering the squeeze may come from
+    our own in-flight leases rather than a genuinely too-large chunk; then
+    halve the chunk with the policy's capped backoff; finally finish every
+    remaining lane on the host.  A sequential call never drains: its one
+    live lease is freed before each allocation.
 
     With ``failover`` armed, every chunk is snapshotted before dispatch
     and a :class:`~repro.errors.DeviceLostError` or
@@ -340,24 +395,25 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
     is described in :attr:`_ShardOutcome.failure`, and every lane not yet
     completed is returned as an orphan range for the coordinator to
     re-shard.  Breaker bookkeeping happens on the coordinator thread, not
-    here, which keeps failover decisions deterministic.
+    here, which keeps failover decisions deterministic.  ``hedging``
+    records each chunk's compute span and snapshot for straggler hedges.
     """
     out = _ShardOutcome()
+    out.plan = plan
     pool = memory_pool(dev)
-    injector = active_injector(dev)
-    s_h2d, s_cmp, s_d2h = _shard_streams(dev, nbuf, watchdog=watchdog)
-    label = f"{op}-chunk@{dev.name}"
-    h2d_bytes = d2h_bytes = 0
+    policy = opts.policy or ResiliencePolicy()
+    guard = escalate_device_faults if failover else nullcontext
+    disp = _Dispatch(dev, streams, guard)
+    label = f"{op.name}-chunk@{dev.name}"
     chunk = plan.chunk
     shard_count = sum(stop - start for start, stop in ranges)
-    if plan.chunked or not plan.admitted or shard_count < total_batch:
+    if plan.chunked or not plan.admitted or shard_count < op.batch:
         out.events.append({"action": "split", "chunk": int(chunk),
                            "footprint": int(plan.footprint),
                            "budget": int(plan.budget),
                            "device": dev.name,
                            "start": int(ranges[0][0]),
                            "stop": int(ranges[-1][1])})
-    guard = escalate_device_faults if failover else nullcontext
     live: deque = deque()       # nbytes of completed chunks' live leases
     pending = deque(ranges)
     attempt = 0
@@ -378,7 +434,7 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                         pool.free(live.popleft(), label=label)
                     pool.alloc(nbytes, label=label)
                 except DeviceMemoryError as exc:
-                    if not resilient:
+                    if not opts.resilient:
                         raise
                     out.oom += 1
                     if live:
@@ -393,8 +449,7 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                         continue
                     if chunk > 1:
                         attempt += 1
-                        delay = policy.backoff(attempt)
-                        out.backoff += delay
+                        out.backoff += policy.backoff(attempt)
                         new_chunk = max(1, chunk // 2)
                         out.events.append(_oom_event(
                             "halve", exc,
@@ -417,31 +472,17 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                                 (list(range(h_start, h_stop)), rep))
                     start = rstop
                     break
-                snap = None
-                if failover and snapshot is not None:
-                    snap = snapshot(start, stop)
-                staged = (stop - start) < total_batch
-                t0 = s_cmp.elapsed
+                snap = op.snapshot(start, stop) if failover else None
+                staged = (stop - start) < op.batch
+                t0 = streams[1].elapsed if hedging else 0.0
                 try:
-                    if staged:
-                        stage_chunk(dev, nbytes, direction="h2d",
-                                    stream=s_h2d)
-                        h2d_bytes += nbytes
-                        s_cmp.wait_event(s_h2d.record_event())
-                    with guard(), _lane_window(injector, start):
-                        rep = run_chunk(start, stop, device=dev,
-                                        stream=s_cmp)
-                    if staged:
-                        s_d2h.wait_event(s_cmp.record_event())
-                        stage_chunk(dev, nbytes, direction="d2h",
-                                    stream=s_d2h)
-                        d2h_bytes += nbytes
-                except (DeviceLostError, KernelHangError) as exc:
+                    rep = disp.run(run_chunk, start, stop, nbytes, staged)
+                except BaseException as exc:
                     pool.free(nbytes, label=label)
-                    if not failover:
+                    if not (failover and isinstance(
+                            exc, (DeviceLostError, KernelHangError))):
                         raise
-                    if snap is not None and restore is not None:
-                        restore(start, stop, snap)
+                    op.restore(start, stop, snap)
                     kind = ("device-lost"
                             if isinstance(exc, DeviceLostError) else "hang")
                     out.failure = {
@@ -452,131 +493,105 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                     pending.clear()
                     start = rstop
                     break
-                except BaseException:
-                    pool.free(nbytes, label=label)
-                    raise
                 live.append(nbytes)
                 if rep is not None:
                     out.parts.append((list(range(start, stop)), rep))
                 out.chunks.append(stop - start)
-                out.spans.append({"start": int(start), "stop": int(stop),
-                                  "duration": s_cmp.elapsed - t0,
-                                  "nbytes": int(nbytes),
-                                  "staged": bool(staged),
-                                  "snap": snap if keep_snaps else None})
+                if hedging:
+                    out.spans.append({"start": int(start), "stop": int(stop),
+                                      "duration": streams[1].elapsed - t0,
+                                      "nbytes": int(nbytes),
+                                      "staged": bool(staged),
+                                      "snap": snap})
                 start = stop
     finally:
         while live:
             pool.free(live.popleft(), label=label)
-    hull_start = min(r[0] for r in ranges)
-    hull_stop = max(r[1] for r in ranges)
-    out.shard = ShardResult(
-        partition=DevicePartition(dev, hull_start, hull_stop),
-        streams=(s_h2d, s_cmp, s_d2h),
-        h2d_bytes=h2d_bytes, d2h_bytes=d2h_bytes, role=role)
+    out.shard = disp.shard(min(r[0] for r in ranges),
+                           max(r[1] for r in ranges), role)
     return out
 
 
-def _run_hedge(op, dev, span, nbuf, run_chunk, snapshot, restore,
-               watchdog):
-    """Duplicate one completed chunk onto ``dev`` (straggler hedging).
+def _run_hedge(op, dev, span, streams, run_chunk):
+    """Duplicate one completed chunk of ``op`` onto ``dev`` (straggler
+    hedging).
 
     The primary's outputs are snapshotted first, the chunk's operands are
-    rewound to the pre-dispatch input snapshot, and the chunk replays on a
-    fresh stream triple.  A successful hedge leaves bit-identical outputs
-    (the per-lane determinism contract), so only timing attribution and
-    the loser's traffic differ; a failed hedge restores the primary's
-    outputs and stands down.  Returns ``(ShardResult | None, seconds,
-    ok)``.
+    rewound to the pre-dispatch input snapshot, and the chunk replays on
+    the fresh ``streams``.  A successful hedge leaves bit-identical
+    outputs (the per-lane determinism contract), so only timing
+    attribution and the loser's traffic differ; a failed hedge restores
+    the primary's outputs and stands down.  Returns ``(ShardResult |
+    None, seconds, ok)``.
     """
     start, stop = span["start"], span["stop"]
     nbytes = span["nbytes"]
-    out_snap = snapshot(start, stop)
     pool = memory_pool(dev)
-    injector = active_injector(dev)
-    s_h2d, s_cmp, s_d2h = _shard_streams(dev, nbuf, watchdog=watchdog)
-    label = f"{op}-hedge@{dev.name}"
-    h2d = d2h = 0
+    disp = _Dispatch(dev, streams, escalate_device_faults)
+    label = f"{op.name}-hedge@{dev.name}"
     try:
         pool.alloc(nbytes, label=label)
     except DeviceMemoryError:
         return None, 0.0, False     # no room to hedge: not an error
-    restore(start, stop, span["snap"])
+    out_snap = op.snapshot(start, stop)
+    op.restore(start, stop, span["snap"])
     ok = True
     try:
-        with escalate_device_faults():
-            if span["staged"]:
-                stage_chunk(dev, nbytes, direction="h2d", stream=s_h2d)
-                h2d = nbytes
-                s_cmp.wait_event(s_h2d.record_event())
-            with _lane_window(injector, start):
-                run_chunk(start, stop, device=dev, stream=s_cmp)
-            if span["staged"]:
-                s_d2h.wait_event(s_cmp.record_event())
-                stage_chunk(dev, nbytes, direction="d2h", stream=s_d2h)
-                d2h = nbytes
+        disp.run(run_chunk, start, stop, nbytes, span["staged"])
     except (DeviceError, DeviceMemoryError):
-        restore(start, stop, out_snap)   # primary's results stand
+        op.restore(start, stop, out_snap)   # primary's results stand
         ok = False
     finally:
         pool.free(nbytes, label=label)
-    shard = ShardResult(partition=DevicePartition(dev, start, stop),
-                        streams=(s_h2d, s_cmp, s_d2h),
-                        h2d_bytes=h2d, d2h_bytes=d2h, role="hedge")
-    dur = max(s.elapsed for s in {s_h2d, s_cmp, s_d2h}) if ok else 0.0
-    return shard, dur, ok
+    shard = disp.shard(start, stop, "hedge")
+    return shard, shard.makespan if ok else 0.0, ok
 
 
-def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
-                      devices, overlap, resilient, policy, run_chunk,
-                      run_host, max_resident_bytes, chunk_hint,
-                      probe_stages, snapshot=None, restore=None):
-    """Run a governed batched call through the pipelined executor.
+def execute_pipelined(op, opts, run_chunk, run_host):
+    """Run descriptor ``op`` through the pipelined executor.
 
-    Same contract as the sequential ``_execute_governed``: returns
-    ``(parts, chunks, oom, events, backoff, plan, result)`` where
-    ``plan`` is an aggregate :class:`~repro.core.memory_plan.MemoryPlan`
-    for report attachment and ``result`` is the :class:`PipelineResult`
-    (also retrievable via :func:`last_pipeline_result`).  ``run_chunk``
-    and ``run_host`` take global lane ranges; ``run_chunk`` additionally
-    accepts ``device=`` / ``stream=`` overrides so a shard's chunks
-    execute on the shard's device and compute stream.
+    Reads the governance knobs (``device``, ``stream``, ``streams``,
+    ``devices``, ``overlap``, ``resilient``, ``policy``,
+    ``max_resident_bytes``, ``chunk_hint``, ``method``) from the
+    :class:`~repro.core.chain.ExecOptions` ``opts``.  ``run_chunk`` and
+    ``run_host`` take global lane ranges, as for :func:`_run_shard`.
+    Returns the merged :class:`_ShardOutcome`, whose ``plan`` is an
+    aggregate :class:`~repro.core.memory_plan.MemoryPlan` for report
+    attachment and whose ``result`` is the :class:`PipelineResult` (also
+    retrievable via :func:`last_pipeline_result`).
 
-    ``snapshot(start, stop)`` / ``restore(start, stop, snap)`` capture and
-    rewind the operand slices of a lane range.  When both are supplied,
-    ``resilient=True`` and more than one device is in play, the **device
-    fault domain** arms: execution becomes a sequence of dispatch rounds
+    With ``resilient=True`` and more than one device, the **device fault
+    domain** arms: execution becomes a sequence of dispatch rounds
     governed by a per-device :class:`~repro.gpusim.multidevice.
     CircuitBreaker` (``policy.breaker`` or a fresh one), chunks orphaned
-    by a device outage or watchdog hang are restored and re-sharded onto
-    the surviving devices, tripped devices re-enter through single-lane
-    probes, and — with ``policy.hedge_ratio`` set — straggler chunks are
-    hedged onto the fastest other closed device.  All decisions land in
+    by a device outage or watchdog hang are restored from
+    ``op.snapshot`` and re-sharded onto the surviving devices, tripped
+    devices re-enter through single-lane probes, and — with
+    ``policy.hedge_ratio`` set — straggler chunks are hedged onto the
+    fastest other closed device.  All decisions land in
     ``PipelineResult.device_events``; if every device dies, the leftover
     lanes finish on the host net.
     """
     from .memory_plan import MemoryPlan, _admit_or_raise, plan_batch
-    from .resilience import ResiliencePolicy
     global _LAST
-    policy = policy or ResiliencePolicy()
-    devs = _resolve_devices(device, devices)
-    nbuf = _resolve_buffers(streams, overlap)
+    batch = op.batch
+    policy = opts.policy or ResiliencePolicy()
+    devs = _resolve_devices(opts.device, opts.devices)
+    nbuf = _resolve_buffers(opts.streams, opts.overlap)
     watchdog = getattr(policy, "watchdog", None)
     hedge_ratio = getattr(policy, "hedge_ratio", None)
-    failover = (bool(resilient) and len(devs) > 1
-                and snapshot is not None and restore is not None)
+    failover = bool(opts.resilient) and len(devs) > 1
     hedge_on = failover and hedge_ratio is not None
     breaker = None
     if failover:
         breaker = getattr(policy, "breaker", None) or CircuitBreaker()
     weights = None
     if len(devs) > 1:
-        weights = throughput_weights(devs, probe_stages,
-                                     grid=max(batch, 1))
+        weights = throughput_weights(
+            devs, lambda dev: op.probe_stages(dev, opts.method),
+            grid=max(batch, 1))
 
-    parts, chunks, events = [], [], []
-    oom = 0
-    backoff = 0.0
+    merged = _ShardOutcome()
     shard_results = []
     plans = []
     device_events = []
@@ -585,21 +600,12 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
     rounds = 0
 
     def plan_for(dev, count):
-        plan = plan_batch(count, lane_bytes, device=dev,
-                          max_resident_bytes=max_resident_bytes,
-                          chunk_hint=chunk_hint, buffers=nbuf)
-        _admit_or_raise(plan, resilient, dev)
+        plan = plan_batch(count, op.lane_bytes, device=dev,
+                          max_resident_bytes=opts.max_resident_bytes,
+                          chunk_hint=opts.chunk_hint, buffers=nbuf)
+        _admit_or_raise(plan, opts.resilient, dev)
         plans.append(plan)
         return plan
-
-    def absorb(out):
-        nonlocal oom, backoff
-        parts.extend(out.parts)
-        chunks.extend(out.chunks)
-        oom += out.oom
-        events.extend(out.events)
-        backoff += out.backoff
-        shard_results.append(out.shard)
 
     def launch(assignments):
         """Run one round's shard assignments on worker threads."""
@@ -609,17 +615,17 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
         def work(i, dev, ranges, plan, role):
             try:
                 outs[i] = _run_shard(
-                    op, dev, ranges, plan, batch, nbuf, resilient, policy,
-                    run_chunk, run_host, watchdog=watchdog,
-                    failover=failover, snapshot=snapshot, restore=restore,
-                    keep_snaps=hedge_on, role=role)
+                    op, opts, dev, ranges, plan, nbuf,
+                    _shard_streams(dev, nbuf, watchdog=watchdog),
+                    run_chunk, run_host, failover=failover,
+                    hedging=hedge_on, role=role)
             except BaseException as exc:  # re-raised on the coordinator
                 errs[i] = exc
 
         if len(assignments) > 1:
             workers = [threading.Thread(
                 target=work, args=(i, dev, ranges, plan, role),
-                name=f"pipe-{op}-{dev.name}")
+                name=f"pipe-{op.name}-{dev.name}")
                 for i, (dev, ranges, plan, role) in enumerate(assignments)]
             for w in workers:
                 w.start()
@@ -641,7 +647,8 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
                         plan_for(part.device, part.count), "full")
                        for part in shards]
         for out in launch(assignments):
-            absorb(out)
+            merged.absorb(out)
+            shard_results.append(out.shard)
         rounds = 1
     else:
         pending = [(0, batch)] if batch else []
@@ -662,13 +669,14 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
                 # No device pool left: finish the leftovers on the host
                 # net — the same last rung the OOM ladder bottoms out on.
                 for h_start, h_stop in pending:
-                    events.append({"action": "host",
-                                   "start": int(h_start),
-                                   "stop": int(h_stop),
-                                   "reason": "no-healthy-devices"})
+                    merged.events.append({"action": "host",
+                                          "start": int(h_start),
+                                          "stop": int(h_stop),
+                                          "reason": "no-healthy-devices"})
                     rep = run_host(h_start, h_stop)
                     if rep is not None:
-                        parts.append((list(range(h_start, h_stop)), rep))
+                        merged.parts.append(
+                            (list(range(h_start, h_stop)), rep))
                 pending = []
                 break
             roles = [(d, breaker.poll(d.name)) for d in devs]
@@ -697,7 +705,8 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
             outs = launch(assignments)
             savings = [0.0] * len(outs)
             for (dev, ranges, plan, role), out in zip(assignments, outs):
-                absorb(out)
+                merged.absorb(out)
+                shard_results.append(out.shard)
                 if out.failure is not None:
                     fail = dict(out.failure)
                     orphan_lanes = sum(s2 - s1 for s1, s2 in out.orphans)
@@ -738,8 +747,9 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
                     target = max(cands,
                                  key=lambda d: weights[devs.index(d)])
                     hshard, hdur, ok = _run_hedge(
-                        op, target, sp, nbuf, run_chunk, snapshot,
-                        restore, watchdog)
+                        op, target, sp,
+                        _shard_streams(target, nbuf, watchdog=watchdog),
+                        run_chunk)
                     if hshard is None:
                         continue
                     hedges += 1
@@ -764,7 +774,7 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
             round_makespans.append(max(effective, default=0.0))
 
     result = PipelineResult(
-        op=op, batch=batch,
+        op=op.name, batch=batch,
         devices=tuple(d.name for d in devs),
         streams=nbuf, overlap=nbuf > 1,
         shards=tuple(shard_results),
@@ -774,19 +784,20 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
         failovers=failovers, hedges=hedges)
     with _LAST_LOCK:
         _LAST = result
-    if stream is not None and batch:
+    if opts.stream is not None and batch:
         # One summary record on the caller's stream: the pipeline occupied
         # the device(s) for the modeled makespan.  Traffic was already
         # charged by the per-chunk staging copies, so this carries time
         # only.
-        stream.record(TransferRecord(
-            kernel_name=f"{op}_pipeline", nbytes=0,
+        opts.stream.record(TransferRecord(
+            kernel_name=f"{op.name}_pipeline", nbytes=0,
             time=result.makespan))
 
-    agg = MemoryPlan(
-        batch=batch, lane_bytes=lane_bytes,
-        footprint=batch * lane_bytes,
+    merged.plan = MemoryPlan(
+        batch=batch, lane_bytes=op.lane_bytes,
+        footprint=batch * op.lane_bytes,
         budget=min((p.budget for p in plans), default=0),
         chunk=min((p.chunk for p in plans), default=batch or 1),
         admitted=all(p.admitted for p in plans))
-    return parts, tuple(chunks), oom, events, backoff, agg, result
+    merged.result = result
+    return merged

@@ -11,7 +11,7 @@ These tests pin what the chain promises:
 * a default call normalizes its operands once, not once per layer;
 * a call leaves no reference cycles behind (the pristine snapshots a
   layer takes are freed when the call returns, not at the next garbage
-  collection).
+  collection), and no lease on any device pool.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro import gbsv_batch, gbtrf_batch, gbtrs_batch
 from repro.band.generate import random_band_batch, random_rhs
 from repro.core import batch_args
 from repro.core.resilience import BatchReport
+from repro.gpusim.memory import _POOLS
 
 BATCH, N, KL, KU, NRHS = 7, 24, 2, 3, 2
 
@@ -158,3 +159,8 @@ def test_call_leaves_no_reference_cycles(reference, knobs):
         assert gc.collect() == 0
     finally:
         gc.enable()
+    # Nor any device residency: every pool the calls touched is empty.
+    assert _POOLS
+    for pool in _POOLS.values():
+        assert pool.in_use == 0
+        assert pool.in_use_by_label == {}

@@ -10,7 +10,10 @@ Pins the contracts of :mod:`repro.core.pipeline`:
 * overlap and sharding shrink the modeled makespan;
 * ``resilient=True`` fault storms produce deterministic results and a
   correctly merged report regardless of stream/device count;
-* per-stream leases never leak, even when a chunk dies mid-pipeline;
+* per-stream leases never leak, sequential or pipelined, even when a
+  chunk dies mid-pipeline;
+* a sequential call is the one-device, one-stream pipeline: same bytes,
+  chunks and OOM-ladder events;
 * TrafficCounter totals agree with the bytes carried on the copy-stream
   timelines.
 """
@@ -383,7 +386,12 @@ class TestFaultStorms:
 
 
 class TestLeaseAccounting:
-    """No pool leak after an OOM (or crash) mid-pipeline."""
+    """No pool leak after an OOM (or crash) mid-pipeline.
+
+    Each case runs sequentially (no ``devices=``: one shard on the default
+    device) and sharded over two replicas; both go through the same shard
+    loop and must leave every pool's ledger empty.
+    """
 
     n, kl, ku, batch = 24, 3, 2, 32
 
@@ -395,43 +403,91 @@ class TestLeaseAccounting:
         b = random_rhs(self.n, 1, batch=self.batch, seed=1)
         return a, b
 
-    def test_resilient_storm_leaves_pools_clean(self):
-        devs = replicate_device(H100_PCIE, 2)
+    @staticmethod
+    def _devices(ndev):
+        """The devices a call runs on, and the knobs that select them."""
+        if ndev is None:
+            return [H100_PCIE], {}
+        devs = replicate_device(H100_PCIE, ndev)
+        return devs, {"devices": devs}
+
+    @pytest.mark.parametrize("ndev", [None, 2],
+                             ids=["sequential", "two-replicas"])
+    def test_resilient_storm_leaves_pools_clean(self, ndev):
+        devs, knobs = self._devices(ndev)
         plan = FaultPlan(seed=4, alloc_failure_rate=1.0,
                          max_alloc_failures=8, alloc_labels="gbsv-chunk")
         a, b = self._problem()
-        with fault_injection(devs[0], plan), fault_injection(devs[1], plan):
+        with contextlib.ExitStack() as stack:
+            for d in devs:
+                stack.enter_context(fault_injection(d, plan))
             gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
-                       resilient=True, chunk_hint=8, devices=devs)
+                       resilient=True, chunk_hint=8, **knobs)
         for pool in self._pools(devs):
             assert pool.in_use == 0
             assert pool.in_use_by_label == {}
 
-    def test_nonresilient_oom_raises_and_frees(self):
-        devs = replicate_device(H100_PCIE, 2)
+    @pytest.mark.parametrize("ndev", [None, 2],
+                             ids=["sequential", "two-replicas"])
+    def test_nonresilient_oom_raises_and_frees(self, ndev):
+        devs, knobs = self._devices(ndev)
         plan = FaultPlan(seed=4, alloc_failure_rate=1.0,
                          max_alloc_failures=1, alloc_labels="gbsv-chunk")
         a, b = self._problem()
         with fault_injection(devs[0], plan):
             with pytest.raises(DeviceMemoryError):
                 gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
-                           chunk_hint=8, devices=devs)
+                           chunk_hint=8, **knobs)
         for pool in self._pools(devs):
             assert pool.in_use == 0
             assert pool.in_use_by_label == {}
 
-    def test_mid_chunk_crash_frees_current_lease(self):
-        devs = replicate_device(H100_PCIE, 2)
+    @pytest.mark.parametrize("ndev", [None, 2],
+                             ids=["sequential", "two-replicas"])
+    def test_mid_chunk_crash_frees_current_lease(self, ndev):
+        devs, knobs = self._devices(ndev)
         plan = FaultPlan(seed=4, launch_failure_rate=1.0,
                          max_launch_failures=1)
         a, b = self._problem()
-        with fault_injection(devs[1], plan):
+        with fault_injection(devs[-1], plan):
             with pytest.raises(DeviceError):
                 gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
-                           chunk_hint=8, devices=devs)
+                           chunk_hint=8, **knobs)
         for pool in self._pools(devs):
             assert pool.in_use == 0
             assert pool.in_use_by_label == {}
+
+
+class TestSequentialIsDegeneratePipeline:
+    """A sequential call is the one-device, one-stream pipeline: the same
+    shard loop, so the same results, chunks and OOM-ladder decisions."""
+
+    n, kl, ku, nrhs, batch = 24, 2, 2, 2, 9
+
+    def _run(self, **knobs):
+        a = random_band_batch(self.batch, self.n, self.kl, self.ku, seed=3)
+        b = random_rhs(self.n, self.nrhs, batch=self.batch, seed=4)
+        piv, info, rep = gbsv_batch(self.n, self.kl, self.ku, self.nrhs,
+                                    a, None, b, chunk_hint=8,
+                                    resilient=True, **knobs)
+        return ((a.tobytes(), b.tobytes(), np.asarray(piv).tobytes(),
+                 np.asarray(info).tobytes()),
+                rep.chunks, rep.oom_failures, rep.chunk_events)
+
+    @pytest.mark.parametrize("case", ["alloc-storm", "one-byte-cap"])
+    def test_sequential_equals_one_device_one_stream(self, case):
+        runs = []
+        for knobs in ({}, {"devices": 1, "streams": 1}):
+            if case == "alloc-storm":
+                plan = FaultPlan(seed=5, alloc_failure_rate=1.0,
+                                 max_alloc_failures=3,
+                                 alloc_labels="gbsv-chunk")
+                with fault_injection(H100_PCIE, plan):
+                    runs.append(self._run(**knobs))
+            else:
+                runs.append(self._run(max_resident_bytes=1, **knobs))
+        assert runs[0] == runs[1]
+        assert runs[0][2] > 0
 
 
 class TestTrafficAgreement:
