@@ -124,10 +124,10 @@ def _lane_pointers(mats):
 def stack_view(mats) -> np.ndarray:
     """Writable ``(batch, ...)`` view over an interleaved lane list.
 
-    Only valid when :func:`is_interleaved_stack` returned True: the view
-    aliases exactly the union of the per-lane views (lane ``k`` of the
-    result *is* ``mats[k]``'s memory), so kernels can execute on it in
-    place — no gather, no scatter.
+    Only valid when :func:`is_interleaved_stack` (or, for a lane-major
+    stack, :func:`is_uniform_stack`) returned True: the view aliases
+    exactly the per-lane views (lane ``k`` of the result *is*
+    ``mats[k]``'s memory), so kernels can execute on it in place.
     """
     first = mats[0]
     d = (mats[1].__array_interface__["data"][0]
@@ -135,6 +135,28 @@ def stack_view(mats) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(
         first, shape=(len(mats),) + first.shape,
         strides=(d,) + first.strides)
+
+
+def stack_lanes(lanes, *, rows: int | None = None, copy: bool = True):
+    """``(batch, ...)`` stack of per-lane operands (first ``rows`` rows).
+
+    A stack, or lanes of one strided or interleaved stack, is sliced
+    wholesale: one copy of the whole batch, or a view with ``copy=False``
+    (for read-only use within the call).  Scattered lanes are stacked one
+    by one; ragged ones (per-lane padding) are copied into a list.
+    """
+    if isinstance(lanes, np.ndarray):
+        view = lanes
+    elif len(lanes) > 1 and (is_uniform_stack(lanes)
+                             or is_interleaved_stack(lanes)):
+        view = stack_view(lanes)
+    else:
+        lanes = [x[:rows] for x in lanes]
+        if len({x.shape for x in lanes}) > 1:
+            return [x.copy() for x in lanes]
+        return np.stack(lanes)
+    view = view[:, :rows]
+    return np.array(view, order="C") if copy else view  # never an alias
 
 
 def stage_stack(seq, nblocks: int, *, rows: int | None = None):

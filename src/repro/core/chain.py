@@ -17,14 +17,16 @@ recompute, a governed chunk, a resilience rung, a quarantine re-run) are
 lane subsets of the same descriptor handed to the layer below.
 
 The descriptor tells the layers everything they need about the operation:
-its launch (the kernel dispatch), ``lane_bytes``, ``snapshot``/``restore``
-of a lane range, the host fallback, ``probe_stages``, the resilience design
-ladder and quarantine test, the verify gate and the return tuple.
+its launch, ``lane_bytes``, the one pristine copy of its inputs
+(``capture``/``rewind``), the host fallback, ``probe_stages``, the
+resilience design ladder and quarantine test, the verify gate and the
+return tuple.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,7 @@ from ..band.layout import ldab_for_factor, normalize_layout
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import launch as launch_kernel
-from .batch_args import stage_layout
+from .batch_args import stack_lanes, stage_layout
 from .memory_plan import _check_caps, _lane_bytes, governed
 from .pipeline import _resolve_buffers, _resolve_devices, pipeline_requested
 from .resilience import resilient
@@ -98,6 +100,10 @@ class ExecOptions:
 
 # --- the operation descriptor -----------------------------------------------
 
+#: One call's pristine inputs, lane-indexed (``None`` where nothing is kept).
+Pristine = namedtuple("Pristine", "mats pivots rhs")
+
+
 class BatchOp:
     """Operands of one batched operation, normalized once.
 
@@ -106,9 +112,9 @@ class BatchOp:
     (whether the operation writes factors, pivots and ``info``), and
     implement ``empty``, ``design``, ``kernels``, ``reference``, ``host``,
     ``design_ladder`` and ``_rebuild``.  ``rhs`` is ``None`` for an
-    operation without right-hand sides.  ``raw`` keeps the batch
-    containers the caller passed (a 3-D stack lets the verify snapshot
-    slice wholesale); lane subsets drop it.
+    operation without right-hand sides.  ``pristine`` is the call's
+    :class:`Pristine` copy of these lanes' inputs, once a layer captured
+    it (:meth:`capture`).
     """
 
     name = ""
@@ -120,11 +126,10 @@ class BatchOp:
     #: written back after staging.
     layout_outputs: tuple = ()
 
-    def __init__(self, n, kl, ku, mats, pivots, info, rhs=None, nrhs=0,
-                 raw=(None, None)):
+    def __init__(self, n, kl, ku, mats, pivots, info, rhs=None, nrhs=0):
         self.n, self.kl, self.ku, self.nrhs = n, kl, ku, nrhs
         self.mats, self.pivots, self.rhs, self.info = mats, pivots, rhs, info
-        self.raw = raw
+        self.pristine = None
 
     @property
     def batch(self) -> int:
@@ -139,10 +144,7 @@ class BatchOp:
 
     def lanes(self, start: int, stop: int) -> "BatchOp":
         """Contiguous lane range; ``info`` is a view of this op's."""
-        return self._rebuild(
-            self.mats[start:stop], self.pivots[start:stop],
-            None if self.rhs is None else self.rhs[start:stop],
-            self.info[start:stop])
+        return self._subset(slice(start, stop), self.info[start:stop])
 
     def pick(self, idx, *, tuned: bool = True) -> "BatchOp":
         """Scattered lanes with a fresh zeroed ``info`` (copy it back).
@@ -150,10 +152,19 @@ class BatchOp:
         ``tuned=False`` drops the kernel tuning overrides, as a call with
         default arguments would.
         """
-        return self._rebuild(
-            [self.mats[k] for k in idx], [self.pivots[k] for k in idx],
-            None if self.rhs is None else [self.rhs[k] for k in idx],
-            np.zeros(len(idx), dtype=np.int64), tuned=tuned)
+        return self._subset(idx, np.zeros(len(idx), dtype=np.int64), tuned)
+
+    def _subset(self, sel, info, tuned=True) -> "BatchOp":
+        """Lanes ``sel`` (a slice or indices), with their slice of the copy."""
+        def take(seq):
+            return (None if seq is None else seq[sel]
+                    if isinstance(sel, slice) else [seq[k] for k in sel])
+
+        sub = self._rebuild(take(self.mats), take(self.pivots),
+                            take(self.rhs), info, tuned)
+        if self.pristine is not None:
+            sub.pristine = Pristine(*map(take, self.pristine))
+        return sub
 
     def _rebuild(self, mats, pivots, rhs, info, tuned=True) -> "BatchOp":
         raise NotImplementedError
@@ -163,7 +174,36 @@ class BatchOp:
     def restaged(self, converted) -> "BatchOp":
         """This op over operands staged into another storage layout."""
         rhs = None if self.rhs is None else list(converted[1])
-        return self._rebuild(list(converted[0]), self.pivots, rhs, self.info)
+        sub = self._rebuild(list(converted[0]), self.pivots, rhs, self.info)
+        sub.pristine = self.pristine
+        return sub
+
+    # -- the pristine copy -----------------------------------------------
+
+    def capture(self) -> None:
+        """Copy these lanes' inputs, unless the op already carries a copy."""
+        if self.pristine is None:
+            self.pristine = Pristine(
+                stack_lanes(self.mats),
+                None if self.factors_out else stack_lanes(self.pivots),
+                None if self.rhs is None else stack_lanes(self.rhs))
+
+    def rewind(self, lanes=None) -> None:
+        """Reset ``lanes`` (default: all) from the copy: every writable
+        operand it holds (cached factors are read-only, hence unwritten), and
+        a factorization's pivots and ``info`` to their ``ensure_*`` zeros."""
+        ks = list(range(self.batch) if lanes is None else lanes)
+        for live, saved in zip((self.mats, self.pivots, self.rhs),
+                               self.pristine):
+            if live is None or saved is None:
+                continue
+            for k in ks:
+                if live[k].flags.writeable:
+                    live[k][...] = saved[k]
+        if self.factors_out:
+            for k in ks:
+                self.pivots[k][...] = 0
+            self.info[ks] = 0
 
     # -- governance ------------------------------------------------------
 
@@ -174,28 +214,6 @@ class BatchOp:
                            self.rhs[0] if self.rhs is not None and self.nrhs
                            else None)
 
-    def snapshot(self, start: int, stop: int):
-        """Copies of what running lanes ``[start, stop)`` mutates."""
-        ks = range(start, stop)
-        return ([self.mats[k].copy() for k in ks] if self.factors_out
-                else None,
-                [self.pivots[k].copy() for k in ks] if self.factors_out
-                else None,
-                None if self.rhs is None else [self.rhs[k].copy()
-                                               for k in ks],
-                np.array(self.info[start:stop], copy=True))
-
-    def restore(self, start: int, stop: int, snap) -> None:
-        """Rewind lanes ``[start, stop)`` to a :meth:`snapshot`."""
-        s_m, s_p, s_r, s_i = snap
-        for j, k in enumerate(range(start, stop)):
-            if s_m is not None:
-                self.mats[k][...] = s_m[j]
-                self.pivots[k][...] = s_p[j]
-            if s_r is not None:
-                self.rhs[k][...] = s_r[j]
-        self.info[start:stop] = s_i
-
     def probe_stages(self, device: DeviceSpec, method: str) -> list:
         """Cost triples of the stage kernels the design would run on
         ``device`` (one representative lane), for throughput weighting.
@@ -204,25 +222,6 @@ class BatchOp:
                 for k in self.lanes(0, 1).kernels(device, method)]
 
     # -- resilience ------------------------------------------------------
-
-    def save(self) -> "BatchOp":
-        """Pristine copies of every lane's band matrix and right-hand
-        sides (the resilience snapshot), as a descriptor over the copies."""
-        return self._rebuild([a.copy() for a in self.mats], self.pivots,
-                             None if self.rhs is None
-                             else [b.copy() for b in self.rhs], self.info)
-
-    def rewind(self, saved) -> None:
-        """Reset what this op writes to the pristine ``saved`` inputs."""
-        if self.factors_out:
-            for a, s in zip(self.mats, saved.mats):
-                a[...] = s
-            for p in self.pivots:
-                p[...] = 0
-            self.info[...] = 0
-        if self.rhs is not None:
-            for b, s in zip(self.rhs, saved.rhs):
-                b[...] = s
 
     def health(self) -> tuple[list, list]:
         """Quarantine test: ``(singular, corrupted)`` lanes.
@@ -244,10 +243,11 @@ class BatchOp:
         return not bool(np.all(np.isfinite(self.mats[k][:self.rows])))
 
     def verify_gate(self, vp):
-        """The verify gate, snapshotting the pristine operands now
-        (``None`` when there is nothing to verify)."""
+        """The verify gate over the pristine copy, captured now (``None``
+        when there is nothing to verify)."""
         if self.empty or (self.rhs is not None and self.nrhs == 0):
             return None
+        self.capture()
         return self.gate(self, vp)
 
     def result(self, report):

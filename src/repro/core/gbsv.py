@@ -146,13 +146,20 @@ class GbsvOp(BatchOp):
     stages = ("gbtrf", "gbtrs")
     layout_outputs = (True, True)
 
-    def __init__(self, n, kl, ku, nrhs, mats, pivots, rhs, info, *,
-                 raw=(None, None)):
-        super().__init__(n, kl, ku, mats, pivots, info, rhs=rhs, nrhs=nrhs,
-                         raw=raw)
-        self.factor_part = GbtrfOp(n, n, kl, ku, mats, pivots, info)
-        self.solve_part = GbtrsOp(Trans.NO_TRANS, n, kl, ku, nrhs, mats,
-                                  pivots, rhs, info)
+    @property
+    def factor_part(self) -> GbtrfOp:
+        part = GbtrfOp(self.n, self.n, self.kl, self.ku, self.mats,
+                       self.pivots, self.info)
+        part.pristine = self.pristine
+        return part
+
+    @property
+    def solve_part(self) -> GbtrsOp:
+        """The solve stage; its copy keeps only ``B`` (factors are outputs)."""
+        part = GbtrsOp(Trans.NO_TRANS, self.n, self.kl, self.ku, self.nrhs,
+                       self.mats, self.pivots, self.rhs, self.info)
+        part.pristine = self.pristine and self.pristine._replace(mats=None)
+        return part
 
     @classmethod
     def from_args(cls, n, kl, ku, nrhs, a_array, pv_array, b_array, info,
@@ -167,12 +174,11 @@ class GbsvOp(BatchOp):
         pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
         rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
         info = ensure_info(info, batch, arg_pos=8)
-        return cls(n, kl, ku, nrhs, mats, pivots, rhs, info,
-                   raw=(a_array, b_array))
+        return cls(n, kl, ku, mats, pivots, info, rhs, nrhs)
 
     def _rebuild(self, mats, pivots, rhs, info, tuned=True):
-        return GbsvOp(self.n, self.kl, self.ku, self.nrhs, mats, pivots, rhs,
-                      info)
+        return GbsvOp(self.n, self.kl, self.ku, mats, pivots, info, rhs,
+                      self.nrhs)
 
     @property
     def empty(self) -> bool:

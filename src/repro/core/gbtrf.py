@@ -198,8 +198,8 @@ class GbtrfOp(BatchOp):
     layout_outputs = (True,)
 
     def __init__(self, m, n, kl, ku, mats, pivots, info, *, nb=None,
-                 threads=None, raw=(None, None)):
-        super().__init__(n, kl, ku, mats, pivots, info, raw=raw)
+                 threads=None):
+        super().__init__(n, kl, ku, mats, pivots, info)
         self.m, self.nb, self.threads = m, nb, threads
 
     @classmethod
@@ -217,8 +217,7 @@ class GbtrfOp(BatchOp):
         pivots = ensure_pivots(pv_array, batch, min(m, n), arg_pos=7,
                                zero=True)
         info = ensure_info(info, batch, arg_pos=8)
-        return cls(m, n, kl, ku, mats, pivots, info, raw=(a_array, None),
-                   **tuning)
+        return cls(m, n, kl, ku, mats, pivots, info, **tuning)
 
     def _rebuild(self, mats, pivots, rhs, info, tuned=True):
         tuning = dict(nb=self.nb, threads=self.threads) if tuned else {}

@@ -138,9 +138,8 @@ class GbtrsOp(BatchOp):
     layout_outputs = (False, True)      # factors are pure inputs here
 
     def __init__(self, trans, n, kl, ku, nrhs, mats, pivots, rhs, info, *,
-                 nb=None, threads=None, rhs_tile=None, raw=(None, None)):
-        super().__init__(n, kl, ku, mats, pivots, info, rhs=rhs, nrhs=nrhs,
-                         raw=raw)
+                 nb=None, threads=None, rhs_tile=None):
+        super().__init__(n, kl, ku, mats, pivots, info, rhs=rhs, nrhs=nrhs)
         self.trans = trans
         self.nb, self.threads, self.rhs_tile = nb, threads, rhs_tile
 
@@ -163,7 +162,7 @@ class GbtrsOp(BatchOp):
         rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
         info = ensure_info(info, batch, arg_pos=11)
         return cls(trans, n, kl, ku, nrhs, mats, pivots, rhs, info,
-                   raw=(a_array, b_array), **tuning)
+                   **tuning)
 
     def _rebuild(self, mats, pivots, rhs, info, tuned=True):
         tuning = (dict(nb=self.nb, threads=self.threads,

@@ -223,7 +223,8 @@ def governed(op, opts, below):
     runs it in chunks through :func:`~repro.core.pipeline._run_shard` —
     as one shard on the caller's device and stream, or through the
     pipelined executor when ``streams``/``devices``/``overlap`` ask for
-    it — each chunk handed to ``below`` as a lane subset of ``op``.
+    it — each chunk handed to ``below`` as a lane subset of ``op``
+    (carrying its slice of the call's pristine copy, if any).
     Passes straight through when governance does not apply
     (:func:`governance_active`).
     Returns the merged report when resilient, else ``None``.
@@ -235,9 +236,8 @@ def governed(op, opts, below):
         return (BatchReport(op.name, op.batch, method_requested=opts.method,
                             info=op.info) if opts.resilient else None)
 
-    def run_chunk(start, stop, device, stream):
-        return below(op.lanes(start, stop),
-                     opts.replace(device=device, stream=stream))
+    def run_chunk(sub, device, stream):
+        return below(sub, opts.replace(device=device, stream=stream))
 
     def run_host(start, stop):
         sub = op.lanes(start, stop)

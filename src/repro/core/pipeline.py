@@ -39,8 +39,8 @@ executor (:func:`execute_pipelined`, asked for by ``streams``/``devices``/
   *rounds* governed by a per-device circuit breaker
   (:class:`~repro.gpusim.multidevice.CircuitBreaker`).  A chunk that dies
   with :class:`~repro.errors.DeviceLostError` (whole-device outage) or
-  :class:`~repro.errors.KernelHangError` (stream watchdog) is restored
-  from its pre-dispatch snapshot and **re-sharded** onto the surviving
+  :class:`~repro.errors.KernelHangError` (stream watchdog) is rewound
+  from the call's pristine copy and **re-sharded** onto the surviving
   devices in the next round; tripped devices re-enter through single-lane
   probe launches (closed → open → half-open → recovered/dead), straggler
   chunks can be **hedged** onto the fastest other healthy device
@@ -51,8 +51,8 @@ Per-lane results are independent of sub-batch composition (the contract
 the vectorized and chunked paths already pin), so the pipelined path is
 bit-identical to the sequential chunked path — and to an unchunked run —
 on every execution route, *including* runs recovered from mid-flight
-device loss: snapshot-restore re-dispatch replays the exact same lanes
-through the exact same kernels.
+device loss: a rewound re-dispatch replays the exact same lanes through
+the exact same kernels.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from ..gpusim.multidevice import (
 )
 from ..gpusim.stream import Stream
 from ..gpusim.transfer import TransferRecord, stage_chunk
+from .batch_args import stack_lanes
 from .resilience import ResiliencePolicy, escalate_device_faults
 
 __all__ = ["PipelineResult", "pipeline_requested", "execute_pipelined",
@@ -339,10 +340,9 @@ class _Dispatch:
         self.injector = active_injector(dev)
         self.h2d_bytes = self.d2h_bytes = 0
 
-    def run(self, run_chunk, start: int, stop: int, nbytes: int,
-            staged: bool):
-        """Stage, run lanes ``[start, stop)`` inside the fault injector's
-        lane window at their global start, unstage; returns the report."""
+    def run(self, run_chunk, sub, start: int, nbytes: int, staged: bool):
+        """Stage, run chunk ``sub`` inside the fault injector's lane window
+        at its global ``start``, unstage; returns the report."""
         s_h2d, s_cmp, s_d2h = self.streams
         if staged:
             stage_chunk(self.dev, nbytes, direction="h2d", stream=s_h2d)
@@ -351,7 +351,7 @@ class _Dispatch:
         window = (nullcontext() if self.injector is None
                   else self.injector.lane_window(start))
         with self.guard(), window:
-            rep = run_chunk(start, stop, self.dev, s_cmp)
+            rep = run_chunk(sub, self.dev, s_cmp)
         if staged:
             _follow(s_d2h, s_cmp)
             stage_chunk(self.dev, nbytes, direction="d2h", stream=s_d2h)
@@ -374,8 +374,9 @@ def _run_shard(op, opts, dev, ranges, plan, nbuf, streams, run_chunk,
     as all three ``streams`` (which may be ``None``); the pipelined
     executor runs one shard per device with fresh ``(h2d, compute, d2h)``
     streams and up to ``nbuf`` chunk leases live at once.
-    ``run_chunk(start, stop, device, stream)`` runs lanes through the
-    layers below governance; ``run_host(start, stop)`` finishes them on
+    ``run_chunk(sub, device, stream)`` runs a chunk (a lane subset of
+    ``op``) through the layers below; ``run_host(start, stop)`` finishes
+    lanes on
     the host net.  Lane indices are global throughout, so results and
     fault placement cannot depend on the sharding.
 
@@ -387,16 +388,17 @@ def _run_shard(op, opts, dev, ranges, plan, nbuf, streams, run_chunk,
     remaining lane on the host.  A sequential call never drains: its one
     live lease is freed before each allocation.
 
-    With ``failover`` armed, every chunk is snapshotted before dispatch
-    and a :class:`~repro.errors.DeviceLostError` or
-    :class:`~repro.errors.KernelHangError` does not propagate: the chunk's
-    operands are restored from the snapshot (a hung kernel has already
-    mutated them — in-place factorization is not idempotent), the failure
-    is described in :attr:`_ShardOutcome.failure`, and every lane not yet
-    completed is returned as an orphan range for the coordinator to
-    re-shard.  Breaker bookkeeping happens on the coordinator thread, not
-    here, which keeps failover decisions deterministic.  ``hedging``
-    records each chunk's compute span and snapshot for straggler hedges.
+    With ``failover`` armed, every chunk not covered by the call's copy
+    captures its inputs before dispatch, and a
+    :class:`~repro.errors.DeviceLostError` or
+    :class:`~repro.errors.KernelHangError` does not propagate: the chunk is
+    rewound (a hung kernel has already mutated its operands — in-place
+    factorization is not idempotent), the failure is described in
+    :attr:`_ShardOutcome.failure`, and every lane not yet completed is
+    returned as an orphan range for the coordinator to re-shard.  Breaker
+    bookkeeping happens on the coordinator thread, not here, which keeps
+    failover decisions deterministic.  ``hedging`` records each chunk's
+    compute span and descriptor for hedges.
     """
     out = _ShardOutcome()
     out.plan = plan
@@ -472,17 +474,19 @@ def _run_shard(op, opts, dev, ranges, plan, nbuf, streams, run_chunk,
                                 (list(range(h_start, h_stop)), rep))
                     start = rstop
                     break
-                snap = op.snapshot(start, stop) if failover else None
+                sub = op.lanes(start, stop)
+                if failover:
+                    sub.capture()
                 staged = (stop - start) < op.batch
                 t0 = streams[1].elapsed if hedging else 0.0
                 try:
-                    rep = disp.run(run_chunk, start, stop, nbytes, staged)
+                    rep = disp.run(run_chunk, sub, start, nbytes, staged)
                 except BaseException as exc:
                     pool.free(nbytes, label=label)
                     if not (failover and isinstance(
                             exc, (DeviceLostError, KernelHangError))):
                         raise
-                    op.restore(start, stop, snap)
+                    sub.rewind()
                     kind = ("device-lost"
                             if isinstance(exc, DeviceLostError) else "hang")
                     out.failure = {
@@ -502,7 +506,7 @@ def _run_shard(op, opts, dev, ranges, plan, nbuf, streams, run_chunk,
                                       "duration": streams[1].elapsed - t0,
                                       "nbytes": int(nbytes),
                                       "staged": bool(staged),
-                                      "snap": snap})
+                                      "sub": sub})
                 start = stop
     finally:
         while live:
@@ -512,34 +516,38 @@ def _run_shard(op, opts, dev, ranges, plan, nbuf, streams, run_chunk,
     return out
 
 
-def _run_hedge(op, dev, span, streams, run_chunk):
-    """Duplicate one completed chunk of ``op`` onto ``dev`` (straggler
-    hedging).
+def _run_hedge(dev, span, streams, run_chunk):
+    """Duplicate one completed chunk onto ``dev`` (straggler hedging).
 
-    The primary's outputs are snapshotted first, the chunk's operands are
-    rewound to the pre-dispatch input snapshot, and the chunk replays on
-    the fresh ``streams``.  A successful hedge leaves bit-identical
-    outputs (the per-lane determinism contract), so only timing
-    attribution and the loser's traffic differ; a failed hedge restores
-    the primary's outputs and stands down.  Returns ``(ShardResult |
-    None, seconds, ok)``.
+    The primary's outputs are copied first, the chunk descriptor
+    ``span["sub"]`` is rewound from its pristine copy, and the chunk
+    replays on the fresh ``streams``.  A successful hedge leaves
+    bit-identical outputs (the per-lane determinism contract), so only
+    timing attribution and the loser's traffic differ; a failed hedge
+    puts the primary's outputs back and stands down.  Returns
+    ``(ShardResult | None, seconds, ok)``.
     """
-    start, stop = span["start"], span["stop"]
+    sub, start, stop = span["sub"], span["start"], span["stop"]
     nbytes = span["nbytes"]
     pool = memory_pool(dev)
     disp = _Dispatch(dev, streams, escalate_device_faults)
-    label = f"{op.name}-hedge@{dev.name}"
+    label = f"{sub.name}-hedge@{dev.name}"
     try:
         pool.alloc(nbytes, label=label)
     except DeviceMemoryError:
         return None, 0.0, False     # no room to hedge: not an error
-    out_snap = op.snapshot(start, stop)
-    op.restore(start, stop, span["snap"])
+    outputs = [seq for seq in ((sub.mats, sub.pivots) if sub.factors_out
+                               else ()) + (sub.rhs, [sub.info])
+               if seq is not None]
+    primary = [stack_lanes(seq) for seq in outputs]
+    sub.rewind()
     ok = True
     try:
-        disp.run(run_chunk, start, stop, nbytes, span["staged"])
+        disp.run(run_chunk, sub, start, nbytes, span["staged"])
     except (DeviceError, DeviceMemoryError):
-        op.restore(start, stop, out_snap)   # primary's results stand
+        for seq, kept in zip(outputs, primary):   # primary's results stand
+            for live, saved in zip(seq, kept):
+                live[...] = saved
         ok = False
     finally:
         pool.free(nbytes, label=label)
@@ -564,8 +572,8 @@ def execute_pipelined(op, opts, run_chunk, run_host):
     domain** arms: execution becomes a sequence of dispatch rounds
     governed by a per-device :class:`~repro.gpusim.multidevice.
     CircuitBreaker` (``policy.breaker`` or a fresh one), chunks orphaned
-    by a device outage or watchdog hang are restored from
-    ``op.snapshot`` and re-sharded onto the surviving devices, tripped
+    by a device outage or watchdog hang are rewound from the call's
+    pristine copy and re-sharded onto the surviving devices, tripped
     devices re-enter through single-lane probes, and — with
     ``policy.hedge_ratio`` set — straggler chunks are hedged onto the
     fastest other closed device.  All decisions land in
@@ -672,7 +680,8 @@ def execute_pipelined(op, opts, run_chunk, run_host):
                     merged.events.append({"action": "host",
                                           "start": int(h_start),
                                           "stop": int(h_stop),
-                                          "reason": "no-healthy-devices"})
+                                          "reason": "no-healthy-devices",
+                                          "device": None})
                     rep = run_host(h_start, h_stop)
                     if rep is not None:
                         merged.parts.append(
@@ -733,7 +742,7 @@ def execute_pipelined(op, opts, run_chunk, run_host):
                               if sp["duration"] > 0.0)
                 median = durs[len(durs) // 2] if durs else 0.0
                 for i, sp in all_spans:
-                    if median <= 0.0 or sp["snap"] is None:
+                    if median <= 0.0:
                         continue
                     if sp["duration"] <= hedge_ratio * median:
                         continue
@@ -747,7 +756,7 @@ def execute_pipelined(op, opts, run_chunk, run_host):
                     target = max(cands,
                                  key=lambda d: weights[devs.index(d)])
                     hshard, hdur, ok = _run_hedge(
-                        op, target, sp,
+                        target, sp,
                         _shard_streams(target, nbuf, watchdog=watchdog),
                         run_chunk)
                     if hshard is None:

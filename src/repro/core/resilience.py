@@ -11,9 +11,9 @@ the fault-injection harness (:mod:`repro.gpusim.faults`) models:
 
 * **transient launch failures** (:class:`~repro.errors.DeviceError`) are
   retried in place, up to :attr:`ResiliencePolicy.max_retries` times per
-  ladder rung with capped exponential backoff; operands are restored from
-  pristine snapshots before every re-attempt, so a retry after a partial
-  in-place factorization is exact, not best-effort;
+  ladder rung with capped exponential backoff; operands are rewound from
+  the call's one pristine copy before every re-attempt, so a retry after
+  a partial in-place factorization is exact, not best-effort;
 * **shared-memory rejections** (:class:`~repro.errors.SharedMemoryError`)
   degrade to the next rung of the design ladder — ``fused`` → ``window`` →
   ``reference`` for the factorization, ``blocked`` → ``reference`` for the
@@ -23,9 +23,9 @@ the fault-injection harness (:mod:`repro.gpusim.faults`) models:
   *what* it computes;
 * **lane corruption and numerical breakdown** are quarantined after the
   fact: any lane whose ``info > 0`` (singular) or whose outputs are
-  non-finite is re-run from its snapshot through the reference design —
-  first the reference kernels, then, should the storm also knock those
-  over, the same per-column elimination on the host (``gbtf2`` /
+  non-finite is rewound from that copy and re-run through the reference
+  design — first the reference kernels, then, should the storm also knock
+  those over, the same per-column elimination on the host (``gbtf2`` /
   ``gbtrs_unblocked``, bit-identical to the reference kernels) — while the
   healthy lanes keep their fast-path results untouched and bit-identical
   to a fault-free run;
@@ -239,8 +239,8 @@ class BatchReport:
     oom_failures: int = 0
     #: Structured memory-governance decisions, in order: dicts with an
     #: ``action`` key (``"split"``, ``"halve"``, ``"host"``, and under
-    #: the pipelined executor ``"drain"``) plus the numbers behind the
-    #: decision; pipelined events also carry a ``"device"`` key.
+    #: the pipelined executor ``"drain"``), the numbers behind it and the
+    #: ``"device"`` whose pool it concerns (``None`` once all are dead).
     chunk_events: list = field(default_factory=list)
     #: Device names the call's shards ran on (empty for a plain
     #: single-device run outside the pipelined executor).
@@ -271,7 +271,7 @@ class BatchReport:
     #: Detected lanes the recovery ladder brought back under tolerance.
     sdc_recovered: tuple = ()
     #: Lanes whose read-only operands changed fingerprints across the
-    #: stage boundary (restored from snapshots).
+    #: stage boundary (restored from the pristine copy).
     digest_mismatches: tuple = ()
     #: Lanes that still fail their gate but are *expected*-inaccurate:
     #: condition estimate below the policy floor or pivot growth past the
@@ -477,9 +477,9 @@ def _run_ladder(report: BatchReport, stage: str, ladder, call, restore,
                 policy: ResiliencePolicy) -> str:
     """Run ``call(method)`` down the design ladder until one rung succeeds.
 
-    ``restore()`` rewinds the operands to their pristine snapshots; it runs
+    ``restore()`` rewinds the operands to their pristine copy; it runs
     before every attempt except the very first (whose operands are already
-    pristine), which is what keeps the zero-fault overhead to one snapshot
+    pristine), which is what keeps the zero-fault overhead to the one
     copy.  Transient :class:`~repro.errors.DeviceError` launches are
     retried on the same rung; :class:`~repro.errors.SharedMemoryError`
     falls straight to the next rung (re-asking for the same allocation
@@ -572,9 +572,10 @@ def _vec_for(method: str, vectorize):
 def resilient(op, opts, below):
     """Resilience layer of the execution chain (:mod:`repro.core.chain`).
 
-    Runs ``op`` down its design ladder (retry, rung fallback, host net),
-    then quarantines singular and non-finite lanes: they are rewound to
-    their pristine inputs and re-run through the reference design — the
+    Captures ``op``'s inputs unless a layer above did, runs ``op`` down
+    its design ladder (retry, rung fallback, host net), then quarantines
+    singular and non-finite lanes: they are rewound from that copy and
+    re-run through the reference design — the
     factorization first, then the solve of the lanes it recovered — and a
     recovered ``gbsv`` lane that was corrupted or shows pivot growth past
     ``policy.growth_threshold`` gets one :func:`~repro.core.gbrfs.gbrfs`
@@ -590,7 +591,7 @@ def resilient(op, opts, below):
                          info=op.info)
     if op.empty:
         return report
-    saved = op.save()
+    op.capture()
 
     def attempt(sub, vectorize):
         return lambda meth: below(sub, opts.replace(
@@ -599,11 +600,10 @@ def resilient(op, opts, below):
     def run_rungs(stage, part, lanes, rungs, vectorize=opts.vectorize,
                   fallback=None):
         sub = part if lanes is None else part.pick(lanes)
-        sub_saved = saved if lanes is None else saved.pick(lanes)
         ok = _ladder_with_host(
-            report, stage, rungs, attempt(sub, vectorize),
-            lambda: sub.rewind(sub_saved), policy,
-            None if fallback else sub.host, fallback or HOST_FALLBACK)
+            report, stage, rungs, attempt(sub, vectorize), sub.rewind,
+            policy, None if fallback else sub.host,
+            fallback or HOST_FALLBACK)
         return sub, ok
 
     for stage, part, lanes, rungs, fallback in op.design_ladder(
@@ -620,12 +620,7 @@ def resilient(op, opts, below):
     report.quarantined = tuple(bad)
     report.singular = tuple(singular)
     report.corrupted = tuple(corrupted)
-    for k in bad:
-        op.mats[k][...] = saved.mats[k]
-        if op.factors_out:
-            op.pivots[k][...] = 0
-        if op.rhs is not None:
-            op.rhs[k][...] = saved.rhs[k]
+    op.rewind(bad)
     unrecovered = []
     recovered = bad
     if op.factors_out:
@@ -636,10 +631,9 @@ def resilient(op, opts, below):
             op.info[k] = sub.info[j]
             if sub.info[j] > 0:
                 # Genuinely singular: factors + pivots stand, B stays as
-                # the caller supplied it (LAPACK semantics).
-                if op.rhs is not None:
-                    op.rhs[k][...] = saved.rhs[k]
-            elif op.lane_nonfinite(k):
+                # the caller supplied it (LAPACK semantics; rewound above).
+                continue
+            if op.lane_nonfinite(k):
                 unrecovered.append(k)
             else:
                 recovered.append(k)
@@ -654,12 +648,12 @@ def resilient(op, opts, below):
                 continue
             if not (op.factors_out and policy.refine):
                 continue
-            orig = saved.mats[k][:op.rows]
-            growth = pivot_growth_batch(op.mats[k][None], orig[None],
-                                        op.kl, op.ku)[0]
+            orig = op.pristine.mats[k]
+            growth = pivot_growth_batch(
+                op.mats[k][None], orig[None, :op.rows], op.kl, op.ku)[0]
             if k in corrupt_set or growth > policy.growth_threshold:
-                gbrfs(op.n, op.kl, op.ku, saved.mats[k], op.mats[k],
-                      op.pivots[k], saved.rhs[k], op.rhs[k], max_iter=1)
+                gbrfs(op.n, op.kl, op.ku, orig, op.mats[k], op.pivots[k],
+                      op.pristine.rhs[k], op.rhs[k], max_iter=1)
                 refined.append(k)
         if op.factors_out:
             report.refined = tuple(refined)

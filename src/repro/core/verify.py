@@ -11,22 +11,23 @@ batched drivers turns on:
   storage, vectorized across lanes (:func:`band_mv_batch`).  One gate
   evaluation costs O(n·k) per lane against the O(n·k²) factorization it
   guards, so verification is asymptotically cheaper than the work it
-  checks.  ``gbsv`` verifies ``||A x - b||`` against snapshots of the
-  original operands; ``gbtrf`` verifies the factors themselves by applying
-  the reconstructed ``P L U`` to a deterministic probe vector
-  (:func:`plu_apply_batch`); ``gbtrs`` replays ``P L U x`` from pristine
-  factor snapshots against the pristine right-hand sides.
+  checks.  ``gbsv`` verifies ``||A x - b||`` against the call's pristine
+  copy of the operands (:meth:`~repro.core.chain.BatchOp.capture`, taken
+  here and inherited by every layer below); ``gbtrf`` verifies the factors
+  themselves by applying the reconstructed ``P L U`` to a deterministic
+  probe vector (:func:`plu_apply_batch`); ``gbtrs`` replays ``P L U x``
+  from the pristine factors against the pristine right-hand sides.
 * **Operand digests** — read-only operands (the ``gbtrs`` factors and
   pivots) are fingerprinted at the stage boundary and re-verified after
-  the stage; a mismatch restores the pristine snapshot and attributes the
+  the stage; a mismatch restores them from the copy and attributes the
   lane (``BatchReport.digest_mismatches``).  The serve layer applies the
   same digests to cached factors (:mod:`repro.serve.cache`).
 * **Pivot-growth monitors** — ``max|U| / max|A|`` computed batched; the
   maximum is stamped on the report and feeds the condition-aware
   classification below.
 * **Condition-aware escalation** — a lane failing its residual gate walks
-  a recovery ladder that reuses the resilience machinery: snapshot
-  recompute on the device → host reference path (``gbtf2`` /
+  a recovery ladder that reuses the resilience machinery: recompute on
+  the device from the rewound lanes → host reference path (``gbtf2`` /
   ``gbtrs_unblocked``, bit-identical by contract) → ``gbequ``/``laqgb``
   equilibrated refactor (``gbsv`` only) → ``gbrfs`` iterative refinement
   with berr/ferr bounds.  A lane that *still* fails is classified with
@@ -58,6 +59,7 @@ from ..types import Trans
 from .gbcon import gbcon
 from .gbequ import gbequ, laqgb
 from .gbrfs import gbrfs
+from .batch_args import stack_lanes
 from .gbtf2 import gbtf2
 from .resilience import BatchReport
 from .solve_blocks import gbtrs_unblocked
@@ -313,35 +315,6 @@ def operand_digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _lane_rows(array, mats, rows, *, copy: bool = True) -> np.ndarray:
-    """``(batch, rows, n)`` stack of every lane's band rows.
-
-    A 3-D ndarray batch (lane-major stack or an interleaved logical
-    view) is sliced wholesale — at paper scale, stacking 1000 per-lane
-    views costs more than the residual gate itself — and returned as a
-    contiguous snapshot, or as a read-only logical view with
-    ``copy=False`` (for reduction-only consumers that never outlive the
-    call).  Other containers (`PointerArray`, per-lane sequences) take
-    the per-lane path.
-    """
-    if (isinstance(array, np.ndarray) and array.ndim == 3
-            and len(mats) <= array.shape[0] and array.shape[1] >= rows):
-        view = array[:len(mats), :rows]
-        # np.array (not ascontiguousarray): these are snapshots, and a
-        # full-height contiguous slice would alias the live batch.
-        return np.array(view, order="C") if copy else view
-    return np.stack([np.asarray(m)[:rows] for m in mats])
-
-
-def _snap_lanes(array, lanes) -> np.ndarray:
-    """Contiguous ``(batch, ...)`` copy of per-lane arrays (RHS stacks)."""
-    if (isinstance(array, np.ndarray) and array.ndim == 3
-            and len(lanes) <= array.shape[0] and len(lanes) > 0
-            and array.shape[1:] == np.asarray(lanes[0]).shape):
-        return np.array(array[:len(lanes)], order="C")
-    return np.stack([np.asarray(x) for x in lanes])
-
-
 # --- shared ladder pieces --------------------------------------------------
 
 def _finite_max(values, mask=None) -> float:
@@ -410,11 +383,12 @@ VERIFY_EXEC_MSG = ("verify requires full functional execution "
 def verified(op, opts, below):
     """Verify layer of the execution chain (:mod:`repro.core.chain`).
 
-    Snapshots the pristine operands through the descriptor's gate
-    (``op.verify_gate``), runs the rest of the chain unchanged, then
-    checks every healthy lane and escalates failing ones: exact recompute
-    of the lane subset through the layers below (governed, default
-    knobs) → the host reference path → the gate's own extra rungs.  Lanes
+    Captures the pristine operands for the whole batch under the
+    descriptor's gate (``op.verify_gate``; every layer below inherits the
+    copy), runs the rest of the chain unchanged, then checks every healthy
+    lane and escalates failing ones: exact recompute of the rewound lane
+    subset through the layers below (governed, default knobs) → the host
+    reference path → the gate's own extra rungs.  Lanes
     that still fail are classified ill-conditioned or corrupted.  Passes
     straight through unless ``opts.verify``; returns the report.  Healthy
     lanes are bit-identical to an unverified call.
@@ -454,7 +428,7 @@ def verified(op, opts, below):
 
     # Rung 1: exact recompute through the layers below (bit-identical
     # designs), governed with default knobs.
-    gate.restore(failing)
+    op.rewind(failing)
     sub = op.pick(failing, tuned=False)
     below(sub, type(opts)(device=opts.device, stream=opts.stream,
                           method=opts.method))
@@ -464,7 +438,7 @@ def verified(op, opts, below):
 
     # Rung 2: host reference net (bit-identical to the reference kernels).
     if still:
-        gate.restore(still)
+        op.rewind(still)
         sub = op.pick(still)
         sub.host()
         info[still] = sub.info
@@ -491,14 +465,15 @@ def verified(op, opts, below):
 # --- the gates -------------------------------------------------------------
 
 class Gate:
-    """A verify gate: pristine snapshots taken before the stage, then the
-    residual check and recovery rungs of one operation.  Subclasses add
-    ``residuals``, ``restore``, ``reverify`` and ``rcond``."""
+    """A verify gate: residual check and recovery rungs of one operation
+    over views of its pristine copy (``snap_a``: the rows kernels touch).
+    Subclasses add ``residuals``, ``reverify`` and ``rcond``."""
 
     def __init__(self, op, vp: VerifyPolicy):
         self.op, self.vp = op, vp
         self.rows = op.rows
-        self.snap_a = _lane_rows(op.raw[0], op.mats, self.rows)
+        mats, self.snap_p, self.snap_b = op.pristine
+        self.snap_a = stack_lanes(mats, rows=self.rows, copy=False)
         self.tol = vp.tol_for(op.n, self.snap_a.dtype)
         self.floor = vp.floor_for(op.n, self.snap_a.dtype)
 
@@ -517,18 +492,16 @@ class Gate:
 
 
 class FactorGate(Gate):
-    """Shared pieces of the gates whose snapshot is the original ``A``."""
+    """Shared pieces of the gates whose copy of ``A`` is the original."""
 
     def __init__(self, op, vp: VerifyPolicy):
         super().__init__(op, vp)
         self._anorms1: dict = {}
 
-    def factors_view(self) -> np.ndarray:
-        return _lane_rows(self.op.raw[0], self.op.mats, self.rows, copy=False)
-
     def growth(self) -> np.ndarray:
-        return pivot_growth_batch(self.factors_view(), self.snap_a,
-                                  self.op.kl, self.op.ku)
+        return pivot_growth_batch(
+            stack_lanes(self.op.mats, rows=self.rows, copy=False),
+            self.snap_a, self.op.kl, self.op.ku)
 
     def anorm1(self, k: int) -> float:
         if k not in self._anorms1:
@@ -553,11 +526,6 @@ class FactorGate(Gate):
         return _rcond_of(op.n, op.kl, op.ku, op.mats[k][:self.rows],
                          op.pivots[k], self.anorm1(k))
 
-    def restore(self, ks) -> None:
-        for k in ks:
-            self.op.mats[k][:self.rows] = self.snap_a[k]
-            self.op.pivots[k][...] = 0
-
 
 class ProbeGate(FactorGate):
     """``gbtrf`` gate: with no right-hand side to check, the factors are
@@ -580,10 +548,8 @@ class ProbeGate(FactorGate):
         """Scaled probe residuals ``|PLU w - A w|`` for the given lanes."""
         op, idx = self.op, list(ks)
         n, kl, ku = op.n, op.kl, op.ku
-        if len(idx) == op.batch:        # the common all-lanes gate
-            f3 = self.factors_view()
-        else:
-            f3 = np.stack([np.asarray(op.mats[k])[:self.rows] for k in idx])
+        f3 = stack_lanes([op.mats[k] for k in idx], rows=self.rows,
+                         copy=False)
         p2 = np.stack([np.asarray(op.pivots[k]) for k in idx])
         w3 = self.w3[:len(idx)]
         got = plu_apply_batch(f3, p2, w3, n, kl, ku)
@@ -608,28 +574,19 @@ class ProbeGate(FactorGate):
 
 class ResidualGate(FactorGate):
     """``gbsv`` gate: the scaled residual ``||A x - b||`` of every solution
-    against pristine snapshots of ``A`` and ``b``, with two extra rungs —
+    against the pristine ``A`` and ``b``, with two extra rungs —
     equilibrated refactor and iterative refinement."""
-
-    def __init__(self, op, vp):
-        super().__init__(op, vp)
-        self.snap_b = _snap_lanes(op.raw[1], op.rhs)
 
     def extra_rungs(self) -> tuple:
         return (self._equilibrate, self._refine)
 
     def residuals(self, eligible) -> np.ndarray:
         op = self.op
-        x3 = _snap_lanes(op.raw[1], op.rhs)
+        x3 = stack_lanes(op.rhs, copy=False)
         anorms = band_norms_inf(self.snap_a, op.n, op.kl, op.ku)
         r3 = band_mv_batch(self.snap_a, x3, op.n, op.kl, op.ku) - self.snap_b
         return _ratio(_lane_absmax(r3), anorms * _lane_absmax(x3)
                       + _lane_absmax(self.snap_b))
-
-    def restore(self, ks) -> None:
-        super().restore(ks)
-        for k in ks:
-            self.op.rhs[k][...] = self.snap_b[k]
 
     def _residual(self, k, x) -> float:
         return solve_residual(self.snap_a[k], x, self.snap_b[k], self.op.kl,
@@ -704,15 +661,13 @@ class ResidualGate(FactorGate):
 
 class ReplayGate(Gate):
     """``gbtrs`` gate: without the original ``A``, the residual is checked
-    against the reconstructed operator — ``P L U x`` (from pristine factor
-    snapshots) must reproduce the pristine ``b``.  With digests enabled the
+    against the reconstructed operator — ``P L U x`` (from the pristine
+    factors) must reproduce the pristine ``b``.  With digests enabled the
     read-only factors and pivots are also fingerprinted before the stage
-    and re-verified after it; a mismatch restores the snapshot."""
+    and re-verified after it; a mismatch restores them from the copy."""
 
     def __init__(self, op, vp: VerifyPolicy):
         super().__init__(op, vp)
-        self.snap_p = np.stack([np.asarray(p) for p in op.pivots])
-        self.snap_b = _snap_lanes(op.raw[1], op.rhs)
         self.digests = None
         if vp.digests_enabled:
             self.digests = [operand_digest(op.mats[k][:self.rows],
@@ -732,7 +687,10 @@ class ReplayGate(Gate):
                 sorted(set(report.digest_mismatches) | set(mismatched)))
             report.sdc_detected = tuple(
                 sorted(set(report.sdc_detected) | set(mismatched)))
-            self._restore_factors(mismatched)
+            # Factors and pivots only: the gate checks the solution next.
+            sub = op.pick(mismatched)
+            sub.pristine = sub.pristine._replace(rhs=None)
+            sub.rewind()
 
     def _scaled(self, idx, x) -> np.ndarray:
         op = self.op
@@ -746,24 +704,7 @@ class ReplayGate(Gate):
         op = self.op
         self.unorms = factor_norms_inf(self.snap_a, op.n, op.kl, op.ku)
         self.bmax = _lane_absmax(self.snap_b)
-        return self._scaled(slice(None), _snap_lanes(op.raw[1], op.rhs))
-
-    def _restore_factors(self, ks) -> None:
-        # Read-only factor/pivot operands (e.g. the serve layer's cached
-        # factorizations) cannot have been corrupted in place — any
-        # in-place write would have raised — so only writable ones are
-        # rewound.
-        op = self.op
-        for k in ks:
-            if op.mats[k].flags.writeable:
-                op.mats[k][:self.rows] = self.snap_a[k]
-            if op.pivots[k].flags.writeable:
-                op.pivots[k][...] = self.snap_p[k]
-
-    def restore(self, ks) -> None:
-        self._restore_factors(ks)
-        for k in ks:
-            self.op.rhs[k][...] = self.snap_b[k]
+        return self._scaled(slice(None), stack_lanes(op.rhs, copy=False))
 
     def reverify(self, ks, residuals) -> list:
         if not ks:

@@ -125,9 +125,9 @@ def stage_chunk(device: DeviceSpec, nbytes: int, *, direction: str = "h2d",
                 label: str = "chunk") -> TransferRecord:
     """Model one chunk-staging copy, charged to traffic *and* a stream.
 
-    The chunked batch executors (:mod:`repro.core.memory_plan`,
-    :mod:`repro.core.pipeline`) stage every chunk through this helper so
-    the copy lands on the device pool's :class:`TrafficCounter` and — when
+    The chunk executor (:mod:`repro.core.pipeline`, which every governed
+    call runs through) stages every chunk through this helper so the
+    copy lands on the device pool's :class:`TrafficCounter` and — when
     a stream is given — on that stream's timeline.  Keeping both charges
     in one place is what makes per-stream makespans and traffic totals
     agree: the bytes a copy stream's records carry are exactly the bytes

@@ -9,8 +9,10 @@ These tests pin what the chain promises:
   byte-identical to the plain per-block (``vectorize=False``) call, with
   the return tuple the driver docstrings give;
 * a default call normalizes its operands once, not once per layer;
-* a call leaves no reference cycles behind (the pristine snapshots a
-  layer takes are freed when the call returns, not at the next garbage
+* a verified or resilient call copies each lane's inputs once, however
+  many layers rewind from that copy, and a plain call copies nothing;
+* a call leaves no reference cycles behind (the pristine copy of its
+  inputs is freed when the call returns, not at the next garbage
   collection), and no lease on any device pool.
 """
 
@@ -27,8 +29,12 @@ import pytest
 from repro import gbsv_batch, gbtrf_batch, gbtrs_batch
 from repro.band.generate import random_band_batch, random_rhs
 from repro.core import batch_args
-from repro.core.resilience import BatchReport
+from repro.core.batched import gbsv_vbatch
+from repro.core.chain import BatchOp
+from repro.core.resilience import BatchReport, ResiliencePolicy
+from repro.gpusim import H100_PCIE, FaultPlan, fault_injection
 from repro.gpusim.memory import _POOLS
+from repro.gpusim.multidevice import replicate_device
 
 BATCH, N, KL, KU, NRHS = 7, 24, 2, 3, 2
 
@@ -140,6 +146,76 @@ def test_default_gbsv_normalizes_operands_once(monkeypatch):
     _, info = gbsv_batch(64, 4, 4, 1, a, None, b)
     assert (info == 0).all()
     assert counts == Counter({name: 1 for name in names})
+
+
+#: Knob sets for the copy count: every copy consumer (verify gate,
+#: failover shard loop, hedging, resilience) with and without the others.
+COPY_KNOBS = {
+    "plain": dict(),
+    "verify": dict(verify="cheap"),
+    "resilient": dict(resilient=True),
+    "stack-small": dict(layout="soa", verify="cheap", resilient=True,
+                        chunk_hint=3, devices=2, streams=2),
+    "two-replicas": dict(devices=2, resilient=True, chunk_hint=2),
+}
+
+
+def _count_captured_lanes(monkeypatch) -> list:
+    """Record the lanes each call of ``BatchOp.capture`` copies (a call on
+    an op that already carries a copy copies nothing)."""
+    copied = []
+    original = BatchOp.capture
+
+    def counting(self):
+        if self.pristine is None:
+            copied.append(self.batch)
+        return original(self)
+
+    monkeypatch.setattr(BatchOp, "capture", counting)
+    return copied
+
+
+@pytest.mark.parametrize("op", ["gbtrf", "gbtrs", "gbsv"])
+@pytest.mark.parametrize("knobs", COPY_KNOBS.values(), ids=COPY_KNOBS)
+def test_each_lane_is_copied_at_most_once(reference, monkeypatch, op,
+                                          knobs):
+    copied = _count_captured_lanes(monkeypatch)
+    a, b = _problem()
+    if op == "gbtrf":
+        gbtrf_batch(N, N, KL, KU, a, **knobs)
+    elif op == "gbtrs":
+        gbtrs_batch("N", N, KL, KU, NRHS, reference["fact"].copy(),
+                    list(reference["piv"]), b, **knobs)
+    else:
+        gbsv_batch(N, KL, KU, NRHS, a, None, b, **knobs)
+    rewinds = knobs.get("resilient") or "verify" in knobs
+    assert sum(copied) == (BATCH if rewinds else 0)
+
+
+def test_hedged_call_copies_each_lane_once(monkeypatch):
+    """A straggler's hedge replays from the chunk's copy, not a new one."""
+    devs = replicate_device(H100_PCIE, 2)
+    copied = _count_captured_lanes(monkeypatch)
+    a, b = _problem()
+    # An un-watched hang inflates one chunk far past the median.
+    with fault_injection(devs[0], FaultPlan(seed=5, hang_launches=1,
+                                            hang_seconds=10.0)):
+        *_, report = gbsv_batch(N, KL, KU, NRHS, a, None, b, devices=devs,
+                                resilient=True, chunk_hint=2,
+                                policy=ResiliencePolicy(hedge_ratio=1.5))
+    assert report.hedges >= 1
+    assert sum(copied) == BATCH
+
+
+def test_resilient_vbatch_copies_each_lane_once(monkeypatch):
+    copied = _count_captured_lanes(monkeypatch)
+    ns = [16, 24, 16, 24, 24]
+    a = [random_band_batch(1, n, 2, 2, seed=k)[0] for k, n in enumerate(ns)]
+    b = [random_rhs(n, 1, seed=10 + k) for k, n in enumerate(ns)]
+    *_, report = gbsv_vbatch(ns, [2] * 5, [2] * 5, [1] * 5, a, b,
+                             resilient=True)
+    assert report.ok
+    assert sum(copied) == len(ns)
 
 
 @pytest.mark.parametrize("knobs", [

@@ -640,6 +640,9 @@ class TestDeviceFaultDomain:
                    e.get("reason") == "no-healthy-devices"
                    for e in rep.chunk_events)
         assert any(e.get("event") == "dead" for e in rep.device_events)
+        # Every chunk event names its device; the host rung has none.
+        assert all(e["device"] is None for e in rep.chunk_events
+                   if e.get("reason") == "no-healthy-devices")
 
     def test_watchdog_hang_fails_over(self):
         from repro.core.resilience import ResiliencePolicy

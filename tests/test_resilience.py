@@ -247,6 +247,73 @@ class TestQuarantine:
         assert np.isfinite(b[3]).all()
 
 
+class TestFullLaneRestore:
+    """A poisoned lane is rewound as a whole, caller padding included.
+
+    The batch carries two padding rows past ``2*kl + ku + 1`` (filled
+    with 3.25).  Lane corruption overwrites the whole lane, padding too,
+    so a rewind that restored only the rows the kernels touch would leave
+    NaN in the padding.
+    """
+
+    N, KL, KU, PAD = 48, 2, 3, 2
+    PLAN = dict(seed=3, corrupt_lanes=(1,))
+    KNOBS = [dict(resilient=True),
+             dict(resilient=True, verify="cheap"),
+             dict(resilient=True, chunk_hint=2, replicas=2)]
+    IDS = ["resilient", "resilient-verify", "two-replicas"]
+
+    def _padded(self):
+        a0, b = _system(batch=8, n=self.N, kl=self.KL, ku=self.KU, seed=11)
+        rows = a0.shape[1]
+        a = np.full((8, rows + self.PAD, self.N), 3.25)
+        a[:, :rows] = a0
+        return a, b, rows
+
+    def _run(self, driver, knobs, faulty):
+        import contextlib
+        from repro.gpusim.multidevice import replicate_device
+        knobs = dict(knobs)
+        replicas = knobs.pop("replicas", None)
+        devs = replicate_device(H100_PCIE, replicas) if replicas else None
+        if devs:
+            knobs["devices"] = devs
+        with contextlib.ExitStack() as stack:
+            injectors = [stack.enter_context(
+                fault_injection(d, FaultPlan(**self.PLAN)))
+                for d in (devs or [H100_PCIE])] if faulty else []
+            out = driver(**knobs)
+        if faulty:
+            lanes = {ev.lane for inj in injectors
+                     for ev in inj.events(LANE_CORRUPTION)}
+            assert lanes == {1}
+        return out
+
+    @pytest.mark.parametrize("knobs", KNOBS, ids=IDS)
+    def test_gbtrf_every_byte_equals_healthy_run(self, knobs):
+        runs = []
+        for faulty in (False, True):
+            a, _, _ = self._padded()
+            piv, info, report = self._run(
+                lambda **kw: gbtrf_batch(self.N, self.N, self.KL, self.KU,
+                                         a, **kw), knobs, faulty)
+            runs.append((a.tobytes(), np.stack(piv).tobytes(),
+                         info.tobytes()))
+            assert report.ok
+        assert report.corrupted == (1,)
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("knobs", KNOBS, ids=IDS)
+    def test_gbsv_padding_rows_equal_input(self, knobs):
+        a, b, rows = self._padded()
+        piv, info, report = self._run(
+            lambda **kw: gbsv_batch(self.N, self.KL, self.KU, 1, a, None, b,
+                                    **kw), knobs, True)
+        assert report.corrupted == (1,) and report.ok
+        assert (info == 0).all()
+        assert (a[:, rows:] == 3.25).all()
+
+
 class TestArgumentErrors:
     """Resilience never retries malformed calls."""
 
