@@ -13,12 +13,10 @@ Following LAPACK ``DGBSV`` semantics, if the factorization reports a
 singular ``U`` the solution is not computed: the factors and pivots are
 still written back but ``B`` is left unchanged in global memory.
 
-The kernel also implements the batch-interleaved path
-(:meth:`~repro.gpusim.kernel.Kernel.run_batch_vectorized`): uniform
-contiguous ``[A|B]`` batches run every column step (paper Section 5.1 building
-blocks plus the paper Section 6 solve steps) across the whole batch at once
-with per-lane ``active`` masks for singular problems, bit-identical to
-the per-block body (see ``docs/PERFORMANCE.md``).
+Like every batched kernel here, it has one body over a lane stack
+(:class:`~repro.core.batch_args.LaneStackKernel`): one lane takes the
+scalar column steps, more lanes the batched ones, with per-lane ``active``
+masks for singular problems (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -27,11 +25,10 @@ import numpy as np
 
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
-from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import is_uniform_stack, soa_stageable, stage_stack
+from ..gpusim.kernel import SharedMemory
+from .batch_args import LaneStackKernel, stage_stack
 from .costs import gbsv_fused_cost
 from .gbtf2 import (
-    init_fillin,
     init_fillin_batched,
     pivot_search,
     pivot_search_batched,
@@ -59,7 +56,7 @@ from .solve_blocks import (
 __all__ = ["FusedGbsvKernel"]
 
 
-class FusedGbsvKernel(Kernel):
+class FusedGbsvKernel(LaneStackKernel):
     """Batched in-shared-memory factorize-and-solve on ``[A|B]``."""
 
     name = "gbsv_fused"
@@ -91,119 +88,94 @@ class FusedGbsvKernel(Kernel):
         return gbsv_fused_cost(self.n, self.kl, self.ku, self.nrhs,
                                self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        n, kl, ku = self.n, self.kl, self.ku
-        kv = kl + ku
-        ab = self.mats[block_id]
-        piv = self.pivots[block_id]
-        b = self.rhs[block_id]
-        ldab = self.layout.ldab_factor
-
-        tile = smem.alloc((ldab, n), dtype=ab.dtype)
-        bt = smem.alloc((n, self.nrhs), dtype=b.dtype)
-        tile[...] = ab[:ldab, :]
-        bt[...] = b
-
-        # Band LU on the augmented [A|B]: every column step also swaps and
-        # updates the RHS rows, which is the forward solve in disguise.
-        init_fillin(tile, n, kl, ku)
-        ju = -1
-        info = 0
-        for j in range(n):
-            set_fillin(tile, n, kl, ku, j)
-            jp = pivot_search(tile, n, kl, ku, j)
-            piv[j] = j + jp
-            if tile[kv + jp, j] != 0:
-                ju = update_bound(n, kl, ku, j, jp, ju)
-                swap_right(tile, kl, ku, j, jp, ju)
-                forward_swap(bt, j, j + jp)
-                scale_column(tile, n, kl, ku, j)
-                rank_one_update(tile, n, kl, ku, j, ju)
-                forward_update(tile, n, kl, ku, j, bt)
-            elif info == 0:
-                info = j + 1
-
-        ab[:ldab, :] = tile
-        self.info[block_id] = info
-        if info != 0:
-            return  # LAPACK GBSV: leave B untouched on singularity
-        # Backward solve, still in shared memory.
-        for j in range(n - 1, -1, -1):
-            backward_step(tile, n, kl, ku, j, bt)
-        b[...] = bt
-
-    def can_batch_vectorize(self) -> bool:
-        return is_uniform_stack(self.mats) and is_uniform_stack(self.rhs)
-
-    def can_soa_vectorize(self) -> bool:
-        return soa_stageable(self.mats, self.rhs)
-
     def pack_operands(self) -> tuple:
         return (self.mats, self.rhs)
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_lanes(self, lanes: slice, smem: SharedMemory) -> None:
         n, kl, ku = self.n, self.kl, self.ku
         kv = kl + ku
         ldab = self.layout.ldab_factor
-        dtype = self.mats[0].dtype
+        mats, rhs = self.mats[lanes], self.rhs[lanes]
+        nlanes = len(mats)
 
-        # Interleaved operands stage whole-stack (lane-contiguous copy);
-        # lane-major batches keep the per-lane staging loop.
-        abst, a_inplace = stage_stack(self.mats, nblocks, rows=ldab)
-        btst, b_inplace = stage_stack(self.rhs, nblocks)
-        soa = a_inplace or b_inplace
-        if soa:
+        # One lane and interleaved operands stage as zero-copy views
+        # (lane-contiguous copies into batch-minor tiles); lane-major
+        # batches are gathered.
+        abst, a_inplace = stage_stack(mats, rows=ldab)
+        btst, b_inplace = stage_stack(rhs)
+        if a_inplace or b_inplace:
             tiles = np.moveaxis(
-                smem.alloc((ldab, n, nblocks), dtype=dtype), 2, 0)
+                smem.alloc((ldab, n, nlanes), dtype=abst.dtype), 2, 0)
             bts = np.moveaxis(
-                smem.alloc((n, self.nrhs, nblocks),
-                           dtype=self.rhs[0].dtype), 2, 0)
-            tiles[...] = abst
-            bts[...] = btst
+                smem.alloc((n, self.nrhs, nlanes), dtype=btst.dtype), 2, 0)
         else:
-            tiles = smem.alloc((nblocks, ldab, n), dtype=dtype)
-            bts = smem.alloc((nblocks, n, self.nrhs),
-                             dtype=self.rhs[0].dtype)
-            for k in range(nblocks):
-                tiles[k] = self.mats[k][:ldab, :]
-                bts[k] = self.rhs[k]
+            tiles = smem.alloc((nlanes, ldab, n), dtype=abst.dtype)
+            bts = smem.alloc((nlanes, n, self.nrhs), dtype=btst.dtype)
+        tiles[...] = abst
+        bts[...] = btst
 
-        bidx = np.arange(nblocks)
-        pivs = np.zeros((nblocks, n), dtype=np.int64)
-        info = np.zeros(nblocks, dtype=np.int64)
+        # Band LU on the augmented [A|B]: every column step also swaps and
+        # updates the RHS rows, which is the forward solve in disguise.
+        pivs = np.zeros((nlanes, n), dtype=np.int64)
+        info = np.zeros(nlanes, dtype=np.int64)
         init_fillin_batched(tiles, n, kl, ku)
-        ju = np.full(nblocks, -1, dtype=np.int64)
-        for j in range(n):
-            set_fillin_batched(tiles, n, kl, ku, j)
-            jp = pivot_search_batched(tiles, n, kl, ku, j)
-            pivs[:, j] = j + jp
-            active = tiles[bidx, kv + jp, j] != 0
-            ju = update_bound_batched(n, kl, ku, j, jp, ju, active)
-            swap_right_batched(tiles, kl, ku, j, jp, ju, active=active)
-            forward_swap_batched(bts, j, np.where(active, j + jp, j))
-            scale_column_batched(tiles, n, kl, ku, j, active=active)
-            rank_one_update_batched(tiles, n, kl, ku, j, ju, active=active)
-            forward_update_batched(tiles, n, kl, ku, j, bts, active=active)
-            info[...] = np.where(~active & (info == 0), j + 1, info)
+        if nlanes == 1:
+            tile, bt, piv = tiles[0], bts[0], pivs[0]
+            ju = -1
+            for j in range(n):
+                set_fillin(tile, n, kl, ku, j)
+                jp = pivot_search(tile, n, kl, ku, j)
+                piv[j] = j + jp
+                if tile[kv + jp, j] != 0:
+                    ju = update_bound(n, kl, ku, j, jp, ju)
+                    swap_right(tile, kl, ku, j, jp, ju)
+                    forward_swap(bt, j, j + jp)
+                    scale_column(tile, n, kl, ku, j)
+                    rank_one_update(tile, n, kl, ku, j, ju)
+                    forward_update(tile, n, kl, ku, j, bt)
+                elif info[0] == 0:
+                    info[0] = j + 1
+        else:
+            bidx = np.arange(nlanes)
+            ju = np.full(nlanes, -1, dtype=np.int64)
+            for j in range(n):
+                set_fillin_batched(tiles, n, kl, ku, j)
+                jp = pivot_search_batched(tiles, n, kl, ku, j)
+                pivs[:, j] = j + jp
+                active = tiles[bidx, kv + jp, j] != 0
+                ju = update_bound_batched(n, kl, ku, j, jp, ju, active)
+                swap_right_batched(tiles, kl, ku, j, jp, ju, active=active)
+                forward_swap_batched(bts, j, np.where(active, j + jp, j))
+                scale_column_batched(tiles, n, kl, ku, j, active=active)
+                rank_one_update_batched(tiles, n, kl, ku, j, ju,
+                                        active=active)
+                forward_update_batched(tiles, n, kl, ku, j, bts,
+                                       active=active)
+                info[...] = np.where(~active & (info == 0), j + 1, info)
 
-        if soa and a_inplace:
+        if a_inplace:
             abst[...] = tiles
-        for k in range(nblocks):
-            if not (soa and a_inplace):
-                self.mats[k][:ldab, :] = tiles[k]
-            self.pivots[k][:] = pivs[k]
-        self.info[:nblocks] = info
+        for k, piv in enumerate(self.pivots[lanes]):
+            if not a_inplace:
+                mats[k][:ldab, :] = tiles[k]
+            piv[:] = pivs[k]
+        self.info[lanes] = info
         ok = info == 0
         if not ok.any():
             return  # LAPACK GBSV: leave B untouched on singularity
-        # Backward solve on the non-singular subset only (gathered copy, so
-        # no divide-by-zero lanes; singular problems keep B untouched).
-        sub_t = tiles[ok]
-        sub_b = bts[ok]
-        for j in range(n - 1, -1, -1):
-            backward_step_batched(sub_t, n, kl, ku, j, sub_b)
-        if soa and b_inplace and bool(ok.all()):
+        # Backward solve, still in shared memory.  Several lanes solve on
+        # the non-singular subset only (gathered copy, so no
+        # divide-by-zero lanes; singular problems keep B untouched).
+        if nlanes == 1:
+            sub_b = bts
+            for j in range(n - 1, -1, -1):
+                backward_step(tile, n, kl, ku, j, bt)
+        else:
+            sub_t, sub_b = tiles[ok], bts[ok]
+            for j in range(n - 1, -1, -1):
+                backward_step_batched(sub_t, n, kl, ku, j, sub_b)
+        if b_inplace and bool(ok.all()):
             btst[...] = sub_b
             return
         for i, k in enumerate(np.flatnonzero(ok)):
-            self.rhs[k][...] = sub_b[i]
+            rhs[k][...] = sub_b[i]

@@ -16,8 +16,8 @@ import numpy as np
 
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
-from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import is_interleaved_stack, is_uniform_stack, stage_stack
+from ..gpusim.kernel import SharedMemory
+from .batch_args import LaneStackKernel, stage_stack
 from .costs import gbtrf_fused_cost
 from .gbtf2 import gbtf2, gbtf2_batched
 
@@ -36,7 +36,7 @@ def default_fused_threads(kl: int, ku: int) -> int:
     return max(kl + 1, 16, min(-(-work // 2), 256))
 
 
-class FusedGbtrfKernel(Kernel):
+class FusedGbtrfKernel(LaneStackKernel):
     """Batched in-shared-memory band LU (one block = one matrix)."""
 
     name = "gbtrf_fused"
@@ -54,8 +54,7 @@ class FusedGbtrfKernel(Kernel):
             raise ValueError(
                 f"fused gbtrf needs at least kl+1={kl + 1} threads, "
                 f"got {self.nthreads}")
-        self.itemdtype = mats[0].dtype if mats else np.dtype(np.float64)
-        self.itemsize = self.itemdtype.itemsize
+        self.itemsize = mats[0].dtype.itemsize if mats else 8
 
     def grid(self) -> int:
         return len(self.mats)
@@ -70,47 +69,36 @@ class FusedGbtrfKernel(Kernel):
         return gbtrf_fused_cost(self.m, self.n, self.kl, self.ku,
                                 self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        ab = self.mats[block_id]
-        ldab = self.layout.ldab_factor
-        tile = smem.alloc((ldab, self.n), dtype=ab.dtype)
-        tile[...] = ab[:ldab, :]                      # global -> shared
-        _, info = gbtf2(self.m, self.n, self.kl, self.ku, tile,
-                        self.pivots[block_id])
-        ab[:ldab, :] = tile                           # shared -> global
-        self.info[block_id] = info
-
-    def can_batch_vectorize(self) -> bool:
-        return is_uniform_stack(self.mats)
-
-    def can_soa_vectorize(self) -> bool:
-        return is_interleaved_stack(self.mats)
-
     def pack_operands(self) -> tuple:
         return (self.mats,)
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_lanes(self, lanes: slice, smem: SharedMemory) -> None:
         ldab = self.layout.ldab_factor
-        abst, inplace = stage_stack(self.mats, nblocks, rows=ldab)
+        mats = self.mats[lanes]
+        nlanes = len(mats)
+        abst, inplace = stage_stack(mats, rows=ldab)
         if inplace:
-            # Interleaved (SoA) batch: stage the shared tile batch-minor
-            # so the global<->shared copies stay lane-contiguous, and
-            # move them as single whole-stack assignments.
+            # One lane or an interleaved (SoA) batch: stage the shared
+            # tile batch-minor so the global<->shared copies stay
+            # lane-contiguous, and move them as single whole-stack
+            # assignments back into the caller's storage.
             tiles = np.moveaxis(
-                smem.alloc((ldab, self.n, nblocks), dtype=self.itemdtype),
+                smem.alloc((ldab, self.n, nlanes), dtype=abst.dtype),
                 2, 0)
-            tiles[...] = abst                         # global -> shared
         else:
-            tiles = smem.alloc((nblocks, ldab, self.n),
-                               dtype=self.itemdtype)
-            for k in range(nblocks):
-                tiles[k] = self.mats[k][:ldab, :]     # global -> shared
-        pivs = np.zeros((nblocks, min(self.m, self.n)), dtype=np.int64)
-        gbtf2_batched(self.m, self.n, self.kl, self.ku, tiles, pivs,
-                      self.info[:nblocks])
+            tiles = smem.alloc((nlanes, ldab, self.n), dtype=abst.dtype)
+        tiles[...] = abst                             # global -> shared
+        pivs = np.zeros((nlanes, min(self.m, self.n)), dtype=np.int64)
+        info = self.info[lanes]
+        if nlanes == 1:
+            _, info[0] = gbtf2(self.m, self.n, self.kl, self.ku, tiles[0],
+                               pivs[0])
+        else:
+            gbtf2_batched(self.m, self.n, self.kl, self.ku, tiles, pivs,
+                          info)
         if inplace:
             abst[...] = tiles                         # shared -> global
-        for k in range(nblocks):
+        for k, piv in enumerate(self.pivots[lanes]):
             if not inplace:
-                self.mats[k][:ldab, :] = tiles[k]     # shared -> global
-            self.pivots[k][:] = pivs[k]
+                mats[k][:ldab, :] = tiles[k]          # shared -> global
+            piv[:] = pivs[k]

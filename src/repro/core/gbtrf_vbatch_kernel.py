@@ -29,7 +29,7 @@ from ..gpusim.kernel import Kernel, SharedMemory, launch
 from ..gpusim.memory import is_packable_batch
 from ..tuning.defaults import window_params
 from .costs import gbtrf_window_cost
-from .gbtrf_window import sliding_window_factor, sliding_window_factor_batched
+from .gbtrf_window import SlidingWindowGbtrfKernel
 
 __all__ = ["VbatchProblem", "VbatchGbtrfKernel", "gbtrf_vbatch_fused"]
 
@@ -92,10 +92,7 @@ class VbatchGbtrfKernel(Kernel):
                          threads=self.threads())
 
     def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        p = self.problems[block_id]
-        self.info[block_id] = sliding_window_factor(
-            self.mats[block_id], self.pivots[block_id],
-            p.m, p.n, p.kl, p.ku, p.nb, smem)
+        self._run_bucket([block_id], smem)
 
     # -- bucketed batch-interleaved execution ------------------------------
 
@@ -115,7 +112,7 @@ class VbatchGbtrfKernel(Kernel):
     def can_pack_vectorize(self) -> bool:
         """Bucketed eligibility: every same-configuration bucket of more
         than one problem must be packable (same dtype, no overlapping
-        storage); singleton buckets run their per-block body as-is."""
+        storage); singleton buckets run on a one-lane view as-is."""
         if not self.mats:
             return False
         for idxs in self._buckets(len(self.mats)).values():
@@ -126,27 +123,22 @@ class VbatchGbtrfKernel(Kernel):
 
     def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
         """Bucketed vectorization: each same-configuration bucket advances
-        through the window schedule batch-interleaved; singleton buckets
-        run the scalar body.  Problems are independent, so per-bucket
-        execution order cannot change any result bits."""
+        through the window schedule as one lane stack.  Problems are
+        independent, so per-bucket execution order cannot change any
+        result bits."""
         for idxs in self._buckets(nblocks).values():
-            p = self.problems[idxs[0]]
-            if len(idxs) == 1:
-                bid = idxs[0]
-                self.info[bid] = sliding_window_factor(
-                    self.mats[bid], self.pivots[bid],
-                    p.m, p.n, p.kl, p.ku, p.nb, smem)
-                continue
-            ldab = BandLayout(p.m, p.n, p.kl, p.ku).ldab_factor
-            abst = np.stack([self.mats[i][:ldab, :] for i in idxs])
-            pivs = np.zeros((len(idxs), min(p.m, p.n)), dtype=np.int64)
-            binfo = np.zeros(len(idxs), dtype=np.int64)
-            sliding_window_factor_batched(
-                abst, pivs, binfo, p.m, p.n, p.kl, p.ku, p.nb, smem)
-            for t, i in enumerate(idxs):
-                self.mats[i][:ldab, :] = abst[t]
-                self.pivots[i][:] = pivs[t]
-                self.info[i] = binfo[t]
+            self._run_bucket(idxs, smem)
+
+    def _run_bucket(self, idxs: list, smem: SharedMemory) -> None:
+        """The window body on the lanes ``idxs`` of one configuration."""
+        p = self.problems[idxs[0]]
+        info = np.zeros(len(idxs), dtype=np.int64)
+        SlidingWindowGbtrfKernel(
+            p.m, p.n, p.kl, p.ku, [self.mats[i] for i in idxs],
+            [self.pivots[i] for i in idxs], info, nb=p.nb,
+            threads=p.threads).run_batch_vectorized(len(idxs), smem)
+        for i, code in zip(idxs, info):
+            self.info[i] = code
 
 
 def gbtrf_vbatch_fused(ms, ns, kls, kus, a_array, pv_array=None,

@@ -22,11 +22,10 @@ import numpy as np
 
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
-from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import is_interleaved_stack, is_uniform_stack, stage_stack
+from ..gpusim.kernel import SharedMemory
+from .batch_args import LaneStackKernel, stage_stack
 from .costs import gbtrf_window_cost
 from .gbtf2 import (
-    init_fillin,
     init_fillin_batched,
     pivot_search,
     pivot_search_batched,
@@ -42,8 +41,7 @@ from .gbtf2 import (
     update_bound_batched,
 )
 
-__all__ = ["SlidingWindowGbtrfKernel", "window_factor_steps",
-           "sliding_window_factor", "sliding_window_factor_batched"]
+__all__ = ["SlidingWindowGbtrfKernel", "window_factor_steps"]
 
 
 def window_factor_steps(mn: int, nb: int) -> int:
@@ -51,141 +49,7 @@ def window_factor_steps(mn: int, nb: int) -> int:
     return -(-mn // nb) if mn > 0 else 0
 
 
-def sliding_window_factor(ab: np.ndarray, piv: np.ndarray, m: int, n: int,
-                          kl: int, ku: int, nb: int,
-                          smem: SharedMemory) -> int:
-    """One thread block's sliding-window factorization (the kernel body).
-
-    Factorizes ``ab`` (factor layout) in place through a shared-memory
-    window allocated from ``smem``; returns the LAPACK ``info`` code.
-    Shared between the uniform kernel and the non-uniform (vbatch) kernel,
-    which calls it with per-problem dimensions.
-    """
-    kv = kl + ku
-    mn = min(m, n)
-    layout = BandLayout(m, n, kl, ku)
-    ldab = layout.ldab_factor
-    wcols = layout.window_cols(nb)
-
-    win = smem.alloc((ldab, wcols), dtype=ab.dtype)
-    # Initial load: the first wcols columns (zero-padded past n), with
-    # the up-front fill-in clearing of columns ku+1..kv-1 that the full
-    # factorization would do (LAPACK DGBTF2's preamble).
-    loaded = min(wcols, n)
-    win[:, :loaded] = ab[:ldab, :loaded]
-    init_fillin(win, n, kl, ku, ncols=loaded)
-
-    c0 = 0          # global column of the window's first cached column
-    ju = -1
-    info = 0
-    j = 0
-    while j < mn:
-        jend = min(j + nb, mn)
-        for jj in range(j, jend):
-            set_fillin(win, n, kl, ku, jj, col0=c0)
-            jp = pivot_search(win, m, kl, ku, jj, col0=c0)
-            piv[jj] = jj + jp
-            if win[kv + jp, jj - c0] != 0:
-                ju = update_bound(n, kl, ku, jj, jp, ju)
-                swap_right(win, kl, ku, jj, jp, ju, col0=c0)
-                scale_column(win, m, kl, ku, jj, col0=c0)
-                rank_one_update(win, m, kl, ku, jj, ju, col0=c0)
-            elif info == 0:
-                info = jj + 1
-        # Write the freshly factored columns back to global memory.
-        ab[:ldab, j:jend] = win[:, j - c0:jend - c0]
-        if jend >= mn:
-            # Trailing columns beyond min(m, n) (only when m < n) hold
-            # live updates and must be flushed too.
-            tail_hi = min(c0 + wcols, n)
-            if tail_hi > jend:
-                ab[:ldab, jend:tail_hi] = win[:, jend - c0:tail_hi - c0]
-            break
-        # Shift the window left by the columns just retired and stream
-        # in the next ones.
-        shift = jend - c0
-        keep = wcols - shift
-        win[:, :keep] = win[:, shift:].copy()
-        win[:, keep:] = 0
-        lo = c0 + wcols
-        hi = min(lo + shift, n)
-        if hi > lo:
-            win[:, keep:keep + (hi - lo)] = ab[:ldab, lo:hi]
-        c0 = jend
-        j = jend
-    return info
-
-
-def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
-                                  info: np.ndarray, m: int, n: int,
-                                  kl: int, ku: int, nb: int,
-                                  smem: SharedMemory) -> None:
-    """Batch-interleaved :func:`sliding_window_factor`.
-
-    Runs the identical window schedule over a ``(batch, ldab, n)`` stack,
-    advancing every problem through each column step with one numpy
-    operation; ``pivs`` is ``(batch, mn)`` and ``info`` ``(batch,)``,
-    both written in place.  Bit-identical to running the per-block body
-    on each problem in turn.
-    """
-    batch = abst.shape[0]
-    kv = kl + ku
-    mn = min(m, n)
-    layout = BandLayout(m, n, kl, ku)
-    ldab = layout.ldab_factor
-    wcols = layout.window_cols(nb)
-    bidx = np.arange(batch)
-
-    # Stage the window batch-minor (lane axis innermost in memory): every
-    # per-column block then runs its elementwise work with a contiguous
-    # inner loop over the batch, which is where the interleaved layout
-    # pays off.  The blocks are layout-agnostic (they go through
-    # ``abst.strides``), and every elementwise op used is correctly
-    # rounded independent of memory layout, so the bits don't change.
-    win = np.moveaxis(
-        smem.alloc((ldab, wcols, batch), dtype=abst.dtype), 2, 0)
-    loaded = min(wcols, n)
-    win[:, :, :loaded] = abst[:, :ldab, :loaded]
-    init_fillin_batched(win, n, kl, ku, ncols=loaded)
-
-    c0 = 0
-    ju = np.full(batch, -1, dtype=np.int64)
-    info[...] = 0
-    j = 0
-    while j < mn:
-        jend = min(j + nb, mn)
-        for jj in range(j, jend):
-            set_fillin_batched(win, n, kl, ku, jj, col0=c0)
-            jp = pivot_search_batched(win, m, kl, ku, jj, col0=c0)
-            pivs[:, jj] = jj + jp
-            active = win[bidx, kv + jp, jj - c0] != 0
-            ju = update_bound_batched(n, kl, ku, jj, jp, ju, active)
-            swap_right_batched(win, kl, ku, jj, jp, ju, col0=c0,
-                               active=active)
-            scale_column_batched(win, m, kl, ku, jj, col0=c0, active=active)
-            rank_one_update_batched(win, m, kl, ku, jj, ju, col0=c0,
-                                    active=active)
-            info[...] = np.where(~active & (info == 0), jj + 1, info)
-        abst[:, :ldab, j:jend] = win[:, :, j - c0:jend - c0]
-        if jend >= mn:
-            tail_hi = min(c0 + wcols, n)
-            if tail_hi > jend:
-                abst[:, :ldab, jend:tail_hi] = \
-                    win[:, :, jend - c0:tail_hi - c0]
-            break
-        shift = jend - c0
-        keep = wcols - shift
-        win[:, :, :keep] = win[:, :, shift:].copy()
-        win[:, :, keep:] = 0
-        lo = c0 + wcols
-        hi = min(lo + shift, n)
-        if hi > lo:
-            win[:, :, keep:keep + (hi - lo)] = abst[:, :ldab, lo:hi]
-        c0 = jend
-        j = jend
-
-
-class SlidingWindowGbtrfKernel(Kernel):
+class SlidingWindowGbtrfKernel(LaneStackKernel):
     """Batched band LU with a sliding shared-memory window."""
 
     name = "gbtrf_window"
@@ -221,31 +85,109 @@ class SlidingWindowGbtrfKernel(Kernel):
         return gbtrf_window_cost(self.m, self.n, self.kl, self.ku, self.nb,
                                  self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        self.info[block_id] = sliding_window_factor(
-            self.mats[block_id], self.pivots[block_id],
-            self.m, self.n, self.kl, self.ku, self.nb, smem)
-
-    def can_batch_vectorize(self) -> bool:
-        return is_uniform_stack(self.mats)
-
-    def can_soa_vectorize(self) -> bool:
-        return is_interleaved_stack(self.mats)
-
     def pack_operands(self) -> tuple:
         return (self.mats,)
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_lanes(self, lanes: slice, smem: SharedMemory) -> None:
+        """The sliding-window factorization of ``lanes``, in place.
+
+        A one-lane stack runs each window's columns through the scalar
+        steps, a wider one through the ``*_batched`` steps; either way
+        every lane gets the bits :func:`~repro.core.gbtf2.gbtf2` would
+        give it.
+        """
+        m, n, kl, ku, nb = self.m, self.n, self.kl, self.ku, self.nb
+        kv = kl + ku
+        mn = min(m, n)
         ldab = self.layout.ldab_factor
-        # Interleaved (SoA) batches stage as a zero-copy in-place view:
-        # no gather/scatter, and the global<->window copies below run
-        # lane-contiguous against the batch-minor window.
-        abst, inplace = stage_stack(self.mats, nblocks, rows=ldab)
-        pivs = np.zeros((nblocks, min(self.m, self.n)), dtype=np.int64)
-        sliding_window_factor_batched(
-            abst, pivs, self.info[:nblocks],
-            self.m, self.n, self.kl, self.ku, self.nb, smem)
-        for k in range(nblocks):
+        wcols = self.layout.window_cols(nb)
+        mats = self.mats[lanes]
+        info = self.info[lanes]
+        nlanes = len(mats)
+        bidx = np.arange(nlanes)
+        # One lane and interleaved (SoA) batches stage as zero-copy
+        # in-place views: no gather/scatter, and the global<->window
+        # copies run lane-contiguous against the batch-minor window.
+        abst, inplace = stage_stack(mats, rows=ldab)
+        pivs = np.zeros((nlanes, mn), dtype=np.int64)
+
+        # Stage the window batch-minor (lane axis innermost in memory):
+        # every per-column block then runs its elementwise work with a
+        # contiguous inner loop over the batch, which is where the
+        # interleaved layout pays off.  The blocks are layout-agnostic
+        # (they go through ``abst.strides``), and every elementwise op
+        # used is correctly rounded independent of memory layout, so the
+        # bits don't change.  A one-lane window is a plain C-ordered
+        # ``(ldab, wcols)`` tile.
+        win = np.moveaxis(
+            smem.alloc((ldab, wcols, nlanes), dtype=abst.dtype), 2, 0)
+        # Initial load: the first wcols columns (zero-padded past n), with
+        # the up-front fill-in clearing of columns ku+1..kv-1 that the
+        # full factorization would do (LAPACK DGBTF2's preamble).
+        loaded = min(wcols, n)
+        win[:, :, :loaded] = abst[:, :, :loaded]
+        init_fillin_batched(win, n, kl, ku, ncols=loaded)
+
+        c0 = 0          # global column of the window's first cached column
+        ju = np.full(nlanes, -1, dtype=np.int64)
+        info[...] = 0
+        j = 0
+        while j < mn:
+            jend = min(j + nb, mn)
+            if nlanes == 1:
+                w, piv = win[0], pivs[0]
+                lju, linfo = int(ju[0]), int(info[0])
+                for jj in range(j, jend):
+                    set_fillin(w, n, kl, ku, jj, col0=c0)
+                    jp = pivot_search(w, m, kl, ku, jj, col0=c0)
+                    piv[jj] = jj + jp
+                    if w[kv + jp, jj - c0] != 0:
+                        lju = update_bound(n, kl, ku, jj, jp, lju)
+                        swap_right(w, kl, ku, jj, jp, lju, col0=c0)
+                        scale_column(w, m, kl, ku, jj, col0=c0)
+                        rank_one_update(w, m, kl, ku, jj, lju, col0=c0)
+                    elif linfo == 0:
+                        linfo = jj + 1
+                ju[0], info[0] = lju, linfo
+            else:
+                for jj in range(j, jend):
+                    set_fillin_batched(win, n, kl, ku, jj, col0=c0)
+                    jp = pivot_search_batched(win, m, kl, ku, jj, col0=c0)
+                    pivs[:, jj] = jj + jp
+                    active = win[bidx, kv + jp, jj - c0] != 0
+                    ju = update_bound_batched(n, kl, ku, jj, jp, ju, active)
+                    swap_right_batched(win, kl, ku, jj, jp, ju, col0=c0,
+                                       active=active)
+                    scale_column_batched(win, m, kl, ku, jj, col0=c0,
+                                         active=active)
+                    rank_one_update_batched(win, m, kl, ku, jj, ju,
+                                            col0=c0, active=active)
+                    info[...] = np.where(~active & (info == 0), jj + 1,
+                                         info)
+            # Write the freshly factored columns back to global memory.
+            abst[:, :, j:jend] = win[:, :, j - c0:jend - c0]
+            if jend >= mn:
+                # Trailing columns beyond min(m, n) (only when m < n) hold
+                # live updates and must be flushed too.
+                tail_hi = min(c0 + wcols, n)
+                if tail_hi > jend:
+                    abst[:, :, jend:tail_hi] = \
+                        win[:, :, jend - c0:tail_hi - c0]
+                break
+            # Shift the window left by the columns just retired and
+            # stream in the next ones.
+            shift = jend - c0
+            keep = wcols - shift
+            win[:, :, :keep] = win[:, :, shift:].copy()
+            win[:, :, keep:] = 0
+            lo = c0 + wcols
+            hi = min(lo + shift, n)
+            if hi > lo:
+                win[:, :, keep:keep + (hi - lo)] = abst[:, :, lo:hi]
+            c0 = jend
+            j = jend
+
+        for k, piv in enumerate(self.pivots[lanes]):
             if not inplace:
-                self.mats[k][:ldab, :] = abst[k]
-            self.pivots[k][:] = pivs[k]
+                mats[k][:ldab, :] = abst[k]
+            piv[:] = pivs[k]

@@ -575,7 +575,9 @@ class ProbeGate(FactorGate):
 class ResidualGate(FactorGate):
     """``gbsv`` gate: the scaled residual ``||A x - b||`` of every solution
     against the pristine ``A`` and ``b``, with two extra rungs —
-    equilibrated refactor and iterative refinement."""
+    equilibrated refactor and iterative refinement.  A lane whose returned
+    factors hold a non-finite value fails too, however good its ``x``:
+    the call returns those factors."""
 
     def extra_rungs(self) -> tuple:
         return (self._equilibrate, self._refine)
@@ -585,17 +587,22 @@ class ResidualGate(FactorGate):
         x3 = stack_lanes(op.rhs, copy=False)
         anorms = band_norms_inf(self.snap_a, op.n, op.kl, op.ku)
         r3 = band_mv_batch(self.snap_a, x3, op.n, op.kl, op.ku) - self.snap_b
-        return _ratio(_lane_absmax(r3), anorms * _lane_absmax(x3)
-                      + _lane_absmax(self.snap_b))
+        scaled = _ratio(_lane_absmax(r3), anorms * _lane_absmax(x3)
+                        + _lane_absmax(self.snap_b))
+        f3 = stack_lanes(op.mats, rows=self.rows, copy=False)
+        finite = np.isfinite(f3).reshape(len(f3), -1).all(axis=1)
+        return np.where(finite, scaled, np.inf)
 
     def _residual(self, k, x) -> float:
         return solve_residual(self.snap_a[k], x, self.snap_b[k], self.op.kl,
                               self.op.ku)
 
     def reverify(self, ks, residuals) -> list:
-        live = [k for k in ks if self.op.info[k] == 0]
+        op = self.op
+        live = [k for k in ks if op.info[k] == 0]
         return _still_failing(
-            live, [self._residual(k, self.op.rhs[k]) for k in live],
+            live, [np.inf if op.lane_nonfinite(k)
+                   else self._residual(k, op.rhs[k]) for k in live],
             self.tol, residuals)
 
     def _equilibrate(self, still, report, residuals) -> list:

@@ -31,6 +31,7 @@ from repro.band.generate import random_band_batch, random_rhs
 from repro.core import batch_args
 from repro.core.batched import gbsv_vbatch
 from repro.core.chain import BatchOp
+from repro.core.pipeline import last_pipeline_result
 from repro.core.resilience import BatchReport, ResiliencePolicy
 from repro.gpusim import H100_PCIE, FaultPlan, fault_injection
 from repro.gpusim.memory import _POOLS
@@ -205,6 +206,26 @@ def test_hedged_call_copies_each_lane_once(monkeypatch):
                                 policy=ResiliencePolicy(hedge_ratio=1.5))
     assert report.hedges >= 1
     assert sum(copied) == BATCH
+
+
+def test_orphaned_chunk_reruns_from_its_copy(monkeypatch):
+    """A chunk a device outage orphans re-runs from the copy it made, not
+    a new one — also when the re-run chunks straddle its lanes."""
+    devs = replicate_device(H100_PCIE, 2)
+    copied = _count_captured_lanes(monkeypatch)
+    batch, n, kl, ku = 24, 24, 2, 2
+    a = random_band_batch(batch, n, kl, ku, seed=1)
+    b = random_rhs(n, 1, batch=batch, seed=2)
+    a_ref, b_ref = a.copy(), b.copy()
+    gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref)
+    with fault_injection(devs[0], FaultPlan(seed=3, outage_after=1,
+                                            outage_failures=2)):
+        *_, report = gbsv_batch(n, kl, ku, 1, a, None, b, devices=devs,
+                                resilient=True, chunk_hint=4)
+    assert report.ok
+    assert last_pipeline_result().failovers >= 1
+    assert sum(copied) == batch
+    _same((a, a_ref), (b, b_ref))
 
 
 def test_resilient_vbatch_copies_each_lane_once(monkeypatch):

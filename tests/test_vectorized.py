@@ -18,6 +18,7 @@ from repro.band.generate import random_band_batch, random_rhs
 from repro.core import gbsv_batch, gbtrf_batch, gbtrs_batch
 from repro.core.batch_args import is_uniform_stack
 from repro.core.gbtf2 import gbtf2, gbtf2_batched
+from repro.core.solve_blocks import gbtrs_unblocked
 from repro.errors import DeviceError
 from repro.gpusim import H100_PCIE, PointerArray, Stream, launch, summarize
 from repro.gpusim.kernel import SharedMemory
@@ -175,6 +176,95 @@ def test_gbtrf_nonsquare_paths_bitwise():
     piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec, method="window")
     _bytes_equal((a_vec, a_ref), (np.stack(piv_vec), np.stack(piv_ref)),
                  (info_vec, info_ref))
+
+
+# ---------------------------------------------------------------------------
+# One-lane route: a one-lane vectorized launch and every per-block launch
+# run the kernel body on a one-lane view, which takes the scalar steps —
+# both must reproduce the LAPACK-order reference bodies byte for byte
+# ---------------------------------------------------------------------------
+
+#: (batch, vectorize): one lane through run_batch_vectorized, and several
+#: lanes through run_block.
+ONE_LANE_ROUTES = [(1, True), (4, False)]
+ONE_LANE_IDS = ["one-lane-vec", "per-block"]
+
+
+def _gbtf2_lanes(a, n, kl, ku):
+    """Factors, pivots and info of ``gbtf2`` run lane by lane on a copy."""
+    fact = a.copy()
+    runs = [gbtf2(n, n, kl, ku, lane) for lane in fact]
+    return (fact, np.stack([piv for piv, _ in runs]),
+            np.array([info for _, info in runs], dtype=np.int64))
+
+
+def _route_records(stream, vectorize):
+    assert stream.records
+    assert all(r.vectorized == vectorize for r in stream.records)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+@pytest.mark.parametrize("batch,vectorize", ONE_LANE_ROUTES, ids=ONE_LANE_IDS)
+@pytest.mark.parametrize("method,nb", [("window", 8), ("fused", None)])
+def test_gbtrf_one_lane_route_matches_gbtf2(dtype, batch, vectorize, method,
+                                            nb):
+    n, kl, ku = 40, 3, 2               # nb=8 < n: the window slides
+    a = _band_batch(batch, n, kl, ku, dtype, seed=40)
+    a[0, :, 11] = 0                    # a singular lane
+    ref, piv_ref, info_ref = _gbtf2_lanes(a, n, kl, ku)
+    assert info_ref[0] != 0
+    stream = Stream(H100_PCIE)
+    piv, info = gbtrf_batch(n, n, kl, ku, a, method=method, nb=nb,
+                            vectorize=vectorize, stream=stream)
+    _route_records(stream, vectorize)
+    assert {r.kernel_name for r in stream.records} == {f"gbtrf_{method}"}
+    _bytes_equal((a, ref), (np.stack(piv), piv_ref), (info, info_ref))
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+@pytest.mark.parametrize("batch,vectorize", ONE_LANE_ROUTES, ids=ONE_LANE_IDS)
+@pytest.mark.parametrize("singular", [False, True])
+def test_fused_gbsv_one_lane_route_matches_reference(dtype, batch, vectorize,
+                                                     singular):
+    n, kl, ku = 24, 2, 2
+    a = _band_batch(batch, n, kl, ku, dtype, seed=41)
+    if singular:
+        a[batch - 1, :, 7] = 0
+    b = random_rhs(n, 1, batch=batch, dtype=dtype, seed=42)
+    ref, piv_ref, info_ref = _gbtf2_lanes(a, n, kl, ku)
+    x_ref = b.copy()
+    for k in range(batch):
+        if info_ref[k] == 0:           # LAPACK GBSV: B kept when singular
+            gbtrs_unblocked("N", n, kl, ku, ref[k], piv_ref[k], x_ref[k])
+    assert (info_ref[-1] != 0) == singular
+    stream = Stream(H100_PCIE)
+    piv, info = gbsv_batch(n, kl, ku, 1, a, None, b, method="fused",
+                           vectorize=vectorize, stream=stream)
+    _route_records(stream, vectorize)
+    assert {r.kernel_name for r in stream.records} == {"gbsv_fused"}
+    _bytes_equal((a, ref), (b, x_ref), (np.stack(piv), piv_ref),
+                 (info, info_ref))
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+@pytest.mark.parametrize("batch,vectorize", ONE_LANE_ROUTES, ids=ONE_LANE_IDS)
+@pytest.mark.parametrize("trans", ["N", "T", "C"])
+def test_blocked_gbtrs_one_lane_route_matches_unblocked(dtype, batch,
+                                                        vectorize, trans):
+    n, kl, ku, nrhs = 40, 3, 2, 2      # nb=8 < n: the RHS window slides
+    fact, piv, info = _gbtf2_lanes(_band_batch(batch, n, kl, ku, dtype,
+                                               seed=43), n, kl, ku)
+    assert (info == 0).all()
+    b = random_rhs(n, nrhs, batch=batch, dtype=dtype, seed=44)
+    x_ref = b.copy()
+    for k in range(batch):
+        gbtrs_unblocked(trans, n, kl, ku, fact[k], piv[k], x_ref[k])
+    stream = Stream(H100_PCIE)
+    gbtrs_batch(trans, n, kl, ku, nrhs, fact, piv, b, nb=8,
+                vectorize=vectorize, stream=stream)
+    _route_records(stream, vectorize)
+    assert all("blocked" in r.kernel_name for r in stream.records)
+    _bytes_equal((b, x_ref))
 
 
 # ---------------------------------------------------------------------------

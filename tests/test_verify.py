@@ -276,6 +276,29 @@ class TestSdcStorm:
                      (np.ascontiguousarray(b_in), b_ref),
                      (np.stack(piv), np.stack(piv_ref)), (info, info_ref))
 
+    @pytest.mark.parametrize("mode", ["cheap", "full"])
+    def test_gbsv_poisoned_factors_never_silent(self, mode):
+        """Lanes poisoned after the fused kernel keep a correct ``x`` (it
+        was solved first) but return NaN factors in ``A``: each must end
+        byte-identical to the healthy run or be named in the report."""
+        batch, n, kl, ku = 6, 24, 2, 2
+        a = random_band_batch(batch, n, kl, ku, seed=1)
+        b = random_rhs(n, 1, batch=batch, seed=2)
+        a_ref, b_ref = a.copy(), b.copy()
+        piv_ref, info_ref = gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref)
+        with fault_injection(H100_PCIE,
+                             FaultPlan(seed=3, corrupt_lanes=(1, 4))):
+            piv, info, report = gbsv_batch(n, kl, ku, 1, a, None, b,
+                                           verify=mode)
+        named = (set(report.sdc_detected) | set(report.unrecovered)
+                 | set(report.corrupted))
+        for k in (1, 4):
+            healed = (a[k].tobytes() == a_ref[k].tobytes()
+                      and b[k].tobytes() == b_ref[k].tobytes()
+                      and piv[k].tobytes() == piv_ref[k].tobytes()
+                      and info[k] == info_ref[k])
+            assert healed or k in named
+
     def test_gbtrf_factor_flips_recovered(self):
         a, _ = _problem(seed=22)
         a_ref = a.copy()
